@@ -14,7 +14,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from .errors import NotInvertibleError
-from .words import CyclicWord, Word, _invert, _reduce, _substitute
+from .words import CyclicWord, Word, _invert, _join, _substitute
 
 # Elementary Nielsen moves on an image pair (u, v), together with the
 # automorphism each one corresponds to under precomposition.
@@ -32,20 +32,20 @@ _PAIR_MOVES: tuple[tuple[tuple[str, str], str], ...] = (
 
 def _apply_pair_move(u: str, v: str, index: int) -> tuple[str, str]:
     if index == 0:
-        return _reduce(u + v), v
+        return _join(u, v), v
     if index == 1:
-        return _reduce(u + _invert(v)), v
+        return _join(u, _invert(v)), v
     if index == 2:
-        return _reduce(v + u), v
+        return _join(v, u), v
     if index == 3:
-        return _reduce(_invert(v) + u), v
+        return _join(_invert(v), u), v
     if index == 4:
-        return u, _reduce(v + u)
+        return u, _join(v, u)
     if index == 5:
-        return u, _reduce(v + _invert(u))
+        return u, _join(v, _invert(u))
     if index == 6:
-        return u, _reduce(u + v)
-    return u, _reduce(_invert(u) + v)
+        return u, _join(u, v)
+    return u, _join(_invert(u), v)
 
 
 def _compose_images(

@@ -119,7 +119,10 @@ def longitude_pair(p: int, q: int) -> tuple[int, int]:
     r_norm = r % m
     k = (r_norm - r) // p
     s_norm = s + k * q
-    assert p * s_norm - r_norm * q == 1
+    if p * s_norm - r_norm * q != 1:
+        raise AssertionError(
+            f"Euclid gave (r, s) = ({r_norm}, {s_norm}) with p*s - r*q != 1"
+        )
     return r_norm, s_norm
 
 

@@ -70,8 +70,14 @@ class HGraph:
         for name, data in (("alpha", alpha), ("beta", beta)):
             if data is None:
                 continue
+            if not isinstance(data, dict):
+                raise ValueError(f"curve {name} must map edges to multiplicities")
             edges: dict[tuple[str, str], int] = {}
             for key, mult in data.items():
+                if type(mult) is not int:  # bool is an int subclass
+                    raise ValueError(
+                        f"multiplicity for {key!r} must be an integer, got {mult!r}"
+                    )
                 if mult < 0:
                     raise ValueError(f"negative multiplicity for {key!r}")
                 if mult:
@@ -138,6 +144,9 @@ class HGraph:
 
     @classmethod
     def from_json(cls, data: dict, *, check_parity: bool = True) -> "HGraph":
+        unknown = sorted(set(data) - set(CURVES))
+        if unknown:
+            raise ValueError(f"unknown curves {unknown!r}; expected alpha and/or beta")
         return cls(
             alpha=data.get("alpha"),
             beta=data.get("beta"),

@@ -26,7 +26,7 @@ def enumerate_primitives(max_len: int) -> frozenset[CyclicWord]:
     Closure of {A} under the Nielsen generators, pruned at
     max_len + 4 letters.  The extra slack guards against shortest
     representatives that are only reachable through longer ones; after
-    the closure stabilises, one more full sweep asserts that no kept
+    the closure stabilises, one more full sweep checks that no kept
     class produces anything new.  Results are cached per max_len.
     """
     if not 1 <= max_len <= _MAX_LEN_CAP:
@@ -51,7 +51,10 @@ def enumerate_primitives(max_len: int) -> frozenset[CyclicWord]:
         for word in seen:  # stability sweep
             for f in generators:
                 image = f.image_of_class(word)
-                assert len(image) > bound or image in seen, (word, image)
+                if len(image) <= bound and image not in seen:
+                    raise AssertionError(
+                        f"closure not stable: {word} maps to new class {image}"
+                    )
         _cache[max_len] = frozenset(w for w in seen if len(w) <= max_len)
     return _cache[max_len]
 

@@ -26,7 +26,9 @@ from .words import (
     _canonical_rotation,
     _cyclic_core,
     _invert,
+    _join,
     _reduce,
+    _runs,
 )
 
 # The eight letter relabelings: invert A and/or B, then optionally swap
@@ -79,19 +81,6 @@ class PrimitiveForm:
         return out
 
 
-def _runs(letters: str) -> list[tuple[str, int]]:
-    """Cyclic maximal runs of equal letters, wrap-around merged."""
-    runs: list[list] = []
-    for ch in letters:
-        if runs and runs[-1][0] == ch:
-            runs[-1][1] += 1
-        else:
-            runs.append([ch, 1])
-    if len(runs) > 1 and runs[0][0] == runs[-1][0]:
-        runs[0][1] += runs.pop()[1]
-    return [(ch, count) for ch, count in runs]
-
-
 def _match_form(letters: str) -> tuple[int, int, int, bool, bool, bool, dict] | None:
     """First relabeling under which the exponent shape appears.
 
@@ -99,29 +88,24 @@ def _match_form(letters: str) -> tuple[int, int, int, bool, bool, bool, dict] | 
     where in the relabeled word every B has exponent exactly 1 and every
     A run has length e or e + 1 with e > 0.
     """
+    runs = [(ord(ch), count) for ch, count in _runs(letters)]
     for inv_a, inv_b, swapped, table in _RELABELINGS:
-        relabeled = letters.translate(table)
         a_counts = []
-        ok = True
-        for ch, count in _runs(relabeled):
-            if ch == "A":
+        for code, count in runs:
+            image = table[code]
+            if image == "A":
                 a_counts.append(count)
-            elif ch == "B":
-                if count != 1:
-                    ok = False
-                    break
-            else:
-                ok = False
+            elif image != "B" or count != 1:
                 break
-        if not ok or not a_counts:
-            continue
-        low = min(a_counts)
-        high = max(a_counts)
-        if high - low > 1:
-            continue
-        low_count = a_counts.count(low)
-        high_count = a_counts.count(low + 1)
-        return low, low_count, high_count, inv_a, inv_b, swapped, table
+        else:
+            if not a_counts:
+                continue
+            low = min(a_counts)
+            if max(a_counts) - low > 1:
+                continue
+            low_count = a_counts.count(low)
+            high_count = a_counts.count(low + 1)
+            return low, low_count, high_count, inv_a, inv_b, swapped, table
     return None
 
 
@@ -168,7 +152,10 @@ def _is_primitive_core(letters: str) -> bool:
         relabeled = letters.translate(table)
         shorten = {ord("B"): "a" * e + "B", ord("b"): "b" + "A" * e}
         shortened = _cyclic_core(_reduce(relabeled.translate(shorten)))
-        assert len(shortened) < len(letters), (letters, shortened)
+        if len(shortened) >= len(letters):
+            raise AssertionError(
+                f"shortening step did not shorten {letters!r}: got {shortened!r}"
+            )
         letters = shortened
 
 
@@ -197,7 +184,7 @@ def is_basis_pair(u: Word, v: Word) -> bool:
     length reduction.
     """
     su, sv = u.letters, v.letters
-    commutator = _cyclic_core(_reduce(su + sv + _invert(su) + _invert(sv)))
+    commutator = _cyclic_core(_join(_join(_join(su, sv), _invert(su)), _invert(sv)))
     if len(commutator) != 4:
         return False
     return _canonical_rotation(commutator) in _COMMUTATOR_CLASSES

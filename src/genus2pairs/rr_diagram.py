@@ -550,15 +550,25 @@ def diagram_to_json(diagram: RRDiagram) -> dict:
     }
 
 
+def _json_int(value, what: str) -> int:
+    """An exact JSON integer; floats, strings and booleans are rejected."""
+    if type(value) is not int:
+        raise InvalidParamsError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 def diagram_from_json(data: dict) -> RRDiagram:
     try:
         def band_from(entry: dict) -> Band:
+            mult = _json_int(entry["mult"], "band multiplicity")
             label = entry.get("label")
             if label is None:
-                return Band(entry["mult"], None, None)
-            disk = label[0]
+                return Band(mult, None, None)
+            disk = _json_int(label[0], "band disk label")
             longitude = label[1] if len(label) > 1 else None
-            return Band(entry["mult"], disk, longitude)
+            if longitude is not None:
+                longitude = _json_int(longitude, "band longitude label")
+            return Band(mult, disk, longitude)
 
         handles = {
             name: HandleLabel(
@@ -571,7 +581,7 @@ def diagram_from_json(data: dict) -> RRDiagram:
             Arc(
                 parse_endpoint(entry["from"]),
                 parse_endpoint(entry["to"]),
-                entry["mult"],
+                _json_int(entry["mult"], "arc multiplicity"),
             )
             for entry in data.get("arcs", [])
         )
@@ -579,6 +589,6 @@ def diagram_from_json(data: dict) -> RRDiagram:
             name: tuple(parse_step(token) for token in tokens)
             for name, tokens in data.get("curves", {}).items()
         }
-    except (KeyError, TypeError, IndexError) as exc:
+    except (KeyError, TypeError, IndexError, AttributeError) as exc:
         raise InvalidParamsError(f"malformed diagram JSON: {exc!r}") from None
     return RRDiagram(handles["A"], handles["B"], arcs, curves)

@@ -28,6 +28,8 @@ _INVERT_TABLE = str.maketrans("AaBb", "aAbB")
 _ORDER_KEY = str.maketrans("AaBb", "0123")
 
 _TOKEN = re.compile(r"([AaBb])(?:\^(-?\d+))?\s*")
+_DELETE_LETTERS = str.maketrans("", "", LETTERS)
+_CANCELLING_PAIR = re.compile("Aa|aA|Bb|bB")
 
 
 def parse_letters(text: str) -> str:
@@ -39,7 +41,9 @@ def parse_letters(text: str) -> str:
     ''
     """
     stripped = text.strip()
-    if stripped in ("", "1"):
+    if not stripped.translate(_DELETE_LETTERS):
+        return stripped
+    if stripped == "1":
         return ""
     pos = 0
     parts = []
@@ -62,6 +66,8 @@ def parse_letters(text: str) -> str:
 
 def _reduce(letters: str) -> str:
     """Freely reduce a letter string by cancelling adjacent inverse pairs."""
+    if not _CANCELLING_PAIR.search(letters):
+        return letters
     stack: list[str] = []
     push = stack.append
     pop = stack.pop
@@ -71,6 +77,21 @@ def _reduce(letters: str) -> str:
         else:
             push(ch)
     return "".join(stack)
+
+
+def _join(left: str, right: str) -> str:
+    """Free reduction of ``left + right`` when both parts are freely reduced.
+
+    Cancellation can only happen across the boundary, so only the
+    letters that meet there are compared.
+    """
+    limit = min(len(left), len(right))
+    cut = 0
+    while cut < limit and left[-1 - cut] == _INV[right[cut]]:
+        cut += 1
+    if not cut:
+        return left + right
+    return left[: len(left) - cut] + right[cut:]
 
 
 def _invert(letters: str) -> str:
@@ -87,14 +108,39 @@ def _cyclic_core(letters: str) -> str:
 
 
 def _canonical_rotation(letters: str) -> str:
-    """Least rotation of a string under the order A < a < B < b."""
+    """Least rotation of a string under the order A < a < B < b.
+
+    The least rotation starts at the least letter, and any letter that
+    follows a run of it is larger, so it starts where a cyclic run of
+    the least letter starts; only those starts are compared.
+    """
     n = len(letters)
     if n <= 1:
         return letters
     keyed = letters.translate(_ORDER_KEY)
-    doubled = keyed + keyed
-    best = min(range(n), key=lambda i: doubled[i : i + n])
+    least = min(keyed)
+    starts = [i for i in range(n) if keyed[i] == least and keyed[i - 1] != least]
+    if not starts:  # a power of one letter: every rotation is the same
+        return letters
+    if len(starts) == 1:
+        best = starts[0]
+    else:
+        doubled = keyed + keyed
+        best = min(starts, key=lambda i: doubled[i : i + n])
     return letters[best:] + letters[:best]
+
+
+def _runs(letters: str) -> list[tuple[str, int]]:
+    """Cyclic maximal runs of equal letters, wrap-around merged."""
+    runs: list[list] = []
+    for ch in letters:
+        if runs and runs[-1][0] == ch:
+            runs[-1][1] += 1
+        else:
+            runs.append([ch, 1])
+    if len(runs) > 1 and runs[0][0] == runs[-1][0]:
+        runs[0][1] += runs.pop()[1]
+    return [(ch, count) for ch, count in runs]
 
 
 def _abelianization(letters: str) -> tuple[int, int]:
@@ -153,7 +199,7 @@ class Word:
         return self._letters
 
     def __mul__(self, other: "Word") -> "Word":
-        return Word._raw(_reduce(self._letters + other.letters))
+        return Word._raw(_join(self._letters, other.letters))
 
     def __invert__(self) -> "Word":
         return Word._raw(_invert(self._letters))
@@ -258,20 +304,11 @@ class CyclicWord:
         whenever both generators occur.  Concatenating the syllables
         recovers the cyclic word up to rotation.
         """
-        s = self._letters
-        if not s:
+        if not self._letters:
             raise EmptyWordError("the identity has no syllables")
-        runs: list[list] = []
-        for ch in s:
-            if runs and runs[-1][0] == ch:
-                runs[-1][1] += 1
-            else:
-                runs.append([ch, 1])
-        if len(runs) > 1 and runs[0][0] == runs[-1][0]:
-            runs[0][1] += runs.pop()[1]
         sylls = [
             Syllable(ch.upper(), count if ch.isupper() else -count)
-            for ch, count in runs
+            for ch, count in _runs(self._letters)
         ]
         if any(sy.generator == "A" for sy in sylls) and sylls[0].generator != "A":
             first = next(i for i, sy in enumerate(sylls) if sy.generator == "A")

@@ -214,6 +214,44 @@ class TestExitProtocol:
         assert code == 65
         assert err.startswith("InvalidParams:")
 
+    @pytest.mark.parametrize(
+        "graph",
+        [
+            {"alpha": {"A+A-": "x"}},
+            {"alpha": {"A+A-": 1.5}},
+            {"alpha": {"A+A-": True}},
+            {"alpha": [["A+", "A-"]]},
+            {"A+A-": 1.5},
+        ],
+    )
+    def test_malformed_graph_json(self, graph):
+        code, out, err = invoke("graph", "check", "-", stdin=json.dumps(graph))
+        assert (code, out) == (65, "")
+        assert err.startswith("InvalidParams:")
+
+    @pytest.mark.parametrize(
+        "path, value",
+        [
+            (("handles", "A", "bands", 0, "mult"), "2"),
+            (("handles", "A", "bands", 0, "mult"), 2.0),
+            (("handles", "A", "bands", 0, "mult"), True),
+            (("handles", "A", "bands", 0, "label"), ["3", 1]),
+            (("arcs", 0, "mult"), 1.0),
+            (("curves",), ["A.0.+"]),
+        ],
+    )
+    def test_malformed_diagram_json(self, path, value):
+        _, built, _ = invoke("rr", "build", "--variant", "fig2a",
+                             "--p", "3", "--q", "1")
+        data = json.loads(built)
+        target = data
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        code, out, err = invoke("rr", "validate", "-", stdin=json.dumps(data))
+        assert (code, out) == (65, "")
+        assert err.startswith("InvalidParams:")
+
 
 class TestDeterminism:
     @pytest.mark.parametrize(

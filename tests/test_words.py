@@ -1,3 +1,5 @@
+from itertools import groupby
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -8,12 +10,52 @@ from genus2pairs.words import (
     Word,
     cyclic_equal,
     cyclic_reduce,
+    _canonical_rotation,
+    _invert,
+    _join,
+    _reduce,
     parse_letters,
     substitute,
 )
 
 letter_strings = st.text(alphabet="AaBb", max_size=12)
 words = letter_strings.map(Word)
+
+_ORDER = str.maketrans("AaBb", "0123")
+
+
+def stack_reduce(letters):
+    """Free reduction by the textbook stack scan."""
+    out = []
+    for ch in letters:
+        if out and out[-1] == ch.swapcase():
+            out.pop()
+        else:
+            out.append(ch)
+    return "".join(out)
+
+
+def least_rotation(letters):
+    """Least rotation under A < a < B < b, by trying every rotation."""
+    if not letters:
+        return letters
+    rotations = [letters[i:] + letters[:i] for i in range(len(letters))]
+    return min(rotations, key=lambda r: r.translate(_ORDER))
+
+
+# Short strings, one-letter powers, and long near-periodic strings (a
+# repeated block plus a tail), where many rotations tie for a long way.
+rotation_inputs = st.one_of(
+    st.text(alphabet="AaBb", max_size=30),
+    st.builds(lambda ch, n: ch * n, st.sampled_from("AaBb"), st.integers(1, 2000)),
+    st.builds(
+        lambda block, n, tail: block * n + tail,
+        st.text(alphabet="AaBb", min_size=1, max_size=12),
+        st.integers(1, 200),
+        st.text(alphabet="AaBb", max_size=6),
+    ),
+)
+reduced_strings = st.text(alphabet="AaBb", max_size=40).map(stack_reduce)
 
 
 class TestParsing:
@@ -33,6 +75,38 @@ class TestParsing:
     def test_rejects_garbage(self, bad):
         with pytest.raises(InvalidWordError):
             parse_letters(bad)
+
+
+class TestKernelFastPaths:
+    """Each short cut of the word kernel against its plain definition."""
+
+    @given(rotation_inputs)
+    def test_canonical_rotation_is_least_rotation(self, s):
+        assert _canonical_rotation(s) == least_rotation(s)
+
+    @given(reduced_strings, reduced_strings, st.integers(0, 40))
+    def test_join_matches_full_reduction(self, x, y, overlap):
+        # Also feed a right part that starts by undoing part of x.
+        z = stack_reduce(_invert(x)[:overlap] + y)
+        assert _join(x, y) == _reduce(x + y)
+        assert _join(x, z) == _reduce(x + z)
+
+    @given(st.text(alphabet="AaBb", max_size=60))
+    def test_reduce_matches_stack_reduction(self, s):
+        reduced = _reduce(s)
+        assert reduced == stack_reduce(s)
+        for x, y in zip(reduced, reduced[1:]):
+            assert x != y.swapcase()
+
+    @given(st.text(alphabet="AaBb", max_size=30))
+    def test_parse_plain_caret_and_padded_forms(self, s):
+        assert parse_letters(s) == s
+        assert parse_letters(f" \t{s}\n ") == s
+        caret = " ".join(
+            f"{ch.upper()}^{len(list(run)) * (1 if ch.isupper() else -1)}"
+            for ch, run in groupby(s)
+        )
+        assert parse_letters(caret) == s
 
 
 class TestWord:
