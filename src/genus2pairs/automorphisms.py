@@ -12,40 +12,36 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from typing import Iterator
 
 from .errors import NotInvertibleError
 from .words import CyclicWord, Word, _invert, _join, _substitute
 
-# Elementary Nielsen moves on an image pair (u, v), together with the
-# automorphism each one corresponds to under precomposition.
-_PAIR_MOVES: tuple[tuple[tuple[str, str], str], ...] = (
-    (("AB", "B"), "uv"),
-    (("Ab", "B"), "uV"),
-    (("BA", "B"), "vu"),
-    (("bA", "B"), "Vu"),
-    (("A", "BA"), "vu2"),
-    (("A", "Ba"), "vU"),
-    (("A", "AB"), "uv2"),
-    (("A", "aB"), "Uv"),
+# Images of the elementary Nielsen moves on an image pair (u, v), as
+# automorphisms to precompose with, in the order _pair_moves yields them.
+_PAIR_MOVES: tuple[tuple[str, str], ...] = (
+    ("AB", "B"),
+    ("Ab", "B"),
+    ("BA", "B"),
+    ("bA", "B"),
+    ("A", "BA"),
+    ("A", "Ba"),
+    ("A", "AB"),
+    ("A", "aB"),
 )
 
 
-def _apply_pair_move(u: str, v: str, index: int) -> tuple[str, str]:
-    if index == 0:
-        return _join(u, v), v
-    if index == 1:
-        return _join(u, _invert(v)), v
-    if index == 2:
-        return _join(v, u), v
-    if index == 3:
-        return _join(_invert(v), u), v
-    if index == 4:
-        return u, _join(v, u)
-    if index == 5:
-        return u, _join(v, _invert(u))
-    if index == 6:
-        return u, _join(u, v)
-    return u, _join(_invert(u), v)
+def _pair_moves(u: str, v: str) -> Iterator[tuple[str, str]]:
+    """The eight moves applied to (u, v), in _PAIR_MOVES order."""
+    inv_u, inv_v = _invert(u), _invert(v)
+    yield _join(u, v), v
+    yield _join(u, inv_v), v
+    yield _join(v, u), v
+    yield _join(inv_v, u), v
+    yield u, _join(v, u)
+    yield u, _join(v, inv_u)
+    yield u, _join(u, v)
+    yield u, _join(inv_u, v)
 
 
 def _compose_images(
@@ -77,8 +73,7 @@ def _descend(u: str, v: str, trace: bool) -> tuple[str, str, list[int]] | None:
         found = None
         while queue and found is None:
             current = queue.popleft()
-            for index in range(len(_PAIR_MOVES)):
-                candidate = _apply_pair_move(*current, index)
+            for index, candidate in enumerate(_pair_moves(*current)):
                 size = len(candidate[0]) + len(candidate[1])
                 if size < total:
                     parents[candidate] = (current, index)
@@ -169,7 +164,7 @@ class Automorphism:
         final_u, final_v, moves = descent
         images = ("A", "B")
         for index in moves:
-            images = _compose_images(images, _PAIR_MOVES[index][0])
+            images = _compose_images(images, _PAIR_MOVES[index])
         images = _compose_images(images, _invert_letter_pair(final_u, final_v))
         return Automorphism(Word._raw(images[0]), Word._raw(images[1]))
 

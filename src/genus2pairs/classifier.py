@@ -33,7 +33,7 @@ from .errors import (
 )
 from .primitivity import as_proper_power
 from .rr_diagram import CanonicalParams
-from .words import CyclicWord, Word, cyclic_equal, cyclic_reduce
+from .words import CyclicWord, Word, cyclic_equal
 
 
 class ProductStructure(enum.Enum):
@@ -102,28 +102,15 @@ def longitude_pair(p: int, q: int) -> tuple[int, int]:
         raise InvalidParamsError("p = 0 gives an inessential handle pattern")
     if gcd(p, q) != 1:
         raise InvalidParamsError(f"gcd({p}, {q}) != 1")
-    # Extended Euclid: p*x + q*y = 1, so (r, s) = (-y, x) is one
-    # solution of p*s - r*q = 1; shift r into [0, |p|) along the lattice
-    # (r + k*p, s + k*q).
-    old_r, cur_r = p, q
-    old_x, cur_x = 1, 0
-    old_y, cur_y = 0, 1
-    while cur_r:
-        quot = old_r // cur_r
-        old_r, cur_r = cur_r, old_r - quot * cur_r
-        old_x, cur_x = cur_x, old_x - quot * cur_x
-        old_y, cur_y = cur_y, old_y - quot * cur_y
-    sign = 1 if old_r > 0 else -1
-    s, r = sign * old_x, -sign * old_y
+    # p*s - r*q = 1 holds exactly when r*q = -1 (mod |p|).
     m = abs(p)
-    r_norm = r % m
-    k = (r_norm - r) // p
-    s_norm = s + k * q
-    if p * s_norm - r_norm * q != 1:
+    r = -pow(q, -1, m) % m
+    s = (1 + r * q) // p
+    if p * s - r * q != 1:
         raise AssertionError(
-            f"Euclid gave (r, s) = ({r_norm}, {s_norm}) with p*s - r*q != 1"
+            f"inverse of q mod |p| gave (r, s) = ({r}, {s}) with p*s - r*q != 1"
         )
-    return r_norm, s_norm
+    return r, s
 
 
 def _min_abs_twist(r: int, m: int) -> int:
@@ -192,8 +179,8 @@ def classify_power_pair(
     are separated.  Geometric realizability of the input pair is the
     caller's responsibility.
     """
-    alpha, _ = cyclic_reduce(Word(alpha_word))
-    beta, _ = cyclic_reduce(Word(beta_word))
+    alpha = CyclicWord(alpha_word)
+    beta = CyclicWord(beta_word)
     if not alpha:
         raise EmptyWordError("alpha must be nontrivial")
     if as_proper_power(beta) is None:

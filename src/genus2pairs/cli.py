@@ -121,31 +121,6 @@ def prim_basis(ctx: click.Context, first: str, second: str) -> None:
     ctx.exit(1)
 
 
-def _params_from_options(variant, p, q, a, b, eps) -> rr_diagram.CanonicalParams:
-    if variant == "fig1a":
-        given = {
-            name: value
-            for name, value in (("p", p), ("q", q), ("a", a), ("b", b), ("eps", eps))
-            if value is not None
-        }
-        if given:
-            raise InvalidParamsError(
-                f"fig1a takes no parameters, got {sorted(given)}"
-            )
-        return rr_diagram.CanonicalParams.fig1a()
-    if variant == "fig2a":
-        if p is None or q is None:
-            raise InvalidParamsError("fig2a needs --p and --q")
-        if a is not None or b is not None or eps is not None:
-            raise InvalidParamsError("fig2a takes only --p and --q")
-        return rr_diagram.CanonicalParams.fig2a(p=p, q=q)
-    if a is None or b is None or p is None or eps is None:
-        raise InvalidParamsError("fig3a needs --a, --b, --p and --eps")
-    if q is not None:
-        raise InvalidParamsError("fig3a takes only --a, --b, --p and --eps")
-    return rr_diagram.CanonicalParams.fig3a(a=a, b=b, p=p, eps=eps)
-
-
 _VARIANT = click.Choice(["fig1a", "fig2a", "fig3a"])
 
 
@@ -164,7 +139,7 @@ def rr() -> None:
 @click.option("--out", type=click.Path(dir_okay=False, writable=True), default=None)
 def rr_build(variant, p, q, a, b, eps, out) -> None:
     """Emit the canonical diagram of a variant as JSON."""
-    params = _params_from_options(variant, p, q, a, b, eps)
+    params = rr_diagram.CanonicalParams(variant, p=p, q=q, a=a, b=b, eps=eps)
     diagram = rr_diagram.build_canonical(params)
     text = json.dumps(rr_diagram.diagram_to_json(diagram), indent=2)
     if out is None:
@@ -211,7 +186,7 @@ def classify(ctx: click.Context, variant, p, q, a, b, eps) -> None:
         return
     if variant is None:
         raise click.UsageError("missing --variant (or the 'power' subcommand)")
-    params = _params_from_options(variant, p, q, a, b, eps)
+    params = rr_diagram.CanonicalParams(variant, p=p, q=q, a=a, b=b, eps=eps)
     _emit_json(classifier.classify(params).to_json())
 
 

@@ -234,6 +234,20 @@ def _beta_is_single_dual(graph: HGraph) -> int | None:
     return edges[("B+", "B-")]
 
 
+def _fig5c_shape(graph: HGraph) -> tuple[int, int] | None:
+    """(c, s) when, up to renaming, alpha is c A+A-, s >= 2 A+B- and s
+    A-B+ edges.  Every renaming that matches gives the same (c, s)."""
+    for mapping in _RELABELINGS:
+        edges = graph.relabeled(mapping).edges("alpha")
+        if set(edges) != {("A+", "A-"), ("A+", "B-"), ("A-", "B+")}:
+            continue
+        c = edges[("A+", "A-")]
+        s = edges[("A+", "B-")]
+        if s >= 2 and edges[("A-", "B+")] == s:
+            return c, s
+    return None
+
+
 def matches_fig5c(graph: HGraph) -> tuple[int, int] | None:
     """Recognise the minimal-form shape, up to renaming the disk copies.
 
@@ -245,16 +259,10 @@ def matches_fig5c(graph: HGraph) -> tuple[int, int] | None:
         return None
     if _beta_is_single_dual(graph) != 1:
         return None
-    for mapping in _RELABELINGS:
-        relabeled = graph.relabeled(mapping)
-        edges = relabeled.edges("alpha")
-        c = edges.get(("A+", "A-"), 0)
-        s = edges.get(("A+", "B-"), 0)
-        if set(edges) != {("A+", "A-"), ("A+", "B-"), ("A-", "B+")}:
-            continue
-        if s >= 2 and relabeled.multiplicity("alpha", "A-", "B+") == s and c >= s:
-            return c, s
-    return None
+    shape = _fig5c_shape(graph)
+    if shape is None or shape[0] < shape[1]:
+        return None
+    return shape
 
 
 def minimality_witness(graph: HGraph) -> str | None:
@@ -279,13 +287,7 @@ def minimality_witness(graph: HGraph) -> str | None:
     ]
     if edges.get(("A+", "A-"), 0) == 0 and crossing_slots:
         return "BandsumReducesB"
-    for mapping in _RELABELINGS:
-        relabeled = graph.relabeled(mapping)
-        shape = relabeled.edges("alpha")
-        if set(shape) != {("A+", "A-"), ("A+", "B-"), ("A-", "B+")}:
-            continue
-        c = shape[("A+", "A-")]
-        s = shape[("A+", "B-")]
-        if shape[("A-", "B+")] == s and s >= 2 and c < s:
-            return "BandsumReducesB"
+    shape = _fig5c_shape(graph)
+    if shape is not None and shape[0] < shape[1]:
+        return "BandsumReducesB"
     return None

@@ -339,6 +339,10 @@ def trace_word(diagram: RRDiagram, curve: str) -> CyclicWord:
     letters: list[str] = []
     for step in diagram.curves[curve]:
         if not isinstance(step, TraverseStep):
+            if step.arc >= len(diagram.arcs):
+                raise InvalidParamsError(
+                    f"curve {curve} uses missing arc {step.arc}"
+                )
             continue
         bands = diagram.handle(step.handle).bands
         if step.band >= len(bands):
@@ -564,6 +568,10 @@ def diagram_from_json(data: dict) -> RRDiagram:
             label = entry.get("label")
             if label is None:
                 return Band(mult, None, None)
+            if len(label) > 2:
+                raise InvalidParamsError(
+                    f"band label has at most two entries, got {label!r}"
+                )
             disk = _json_int(label[0], "band disk label")
             longitude = label[1] if len(label) > 1 else None
             if longitude is not None:

@@ -329,12 +329,7 @@ def cyclic_reduce(word: Word) -> tuple[CyclicWord, Word]:
     core = _cyclic_core(s)
     strip = (len(s) - len(core)) // 2
     canonical = _canonical_rotation(core)
-    if canonical == core:
-        rotation = 0
-    else:
-        rotation = next(
-            i for i in range(len(core)) if core[i:] + core[:i] == canonical
-        )
+    rotation = (core + core).find(canonical)
     conjugator = s[:strip] + core[:rotation]
     return CyclicWord._raw(canonical), Word._raw(conjugator)
 

@@ -202,6 +202,11 @@ class TestExitProtocol:
             (("rr", "build", "--variant", "fig3a", "--a", "2", "--b", "1",
               "--p", "1", "--eps", "1"), "InvalidParams"),
             (("classify", "power", "A", "AB"), "BetaNotProperPower"),
+            (("rr", "build", "--variant", "fig2a", "--p", "3"), "InvalidParams"),
+            (("classify", "--variant", "fig2a", "--p", "3", "--q", "1",
+              "--a", "1"), "InvalidParams"),
+            (("classify", "--variant", "fig3a", "--a", "2", "--b", "1",
+              "--p", "3", "--eps", "1", "--q", "1"), "InvalidParams"),
         ],
     )
     def test_domain_errors_exit_65(self, args, name):
@@ -238,6 +243,7 @@ class TestExitProtocol:
             (("handles", "A", "bands", 0, "label"), ["3", 1]),
             (("arcs", 0, "mult"), 1.0),
             (("curves",), ["A.0.+"]),
+            (("handles", "A", "bands", 0, "label"), [3, 1, 7]),
         ],
     )
     def test_malformed_diagram_json(self, path, value):
@@ -249,6 +255,15 @@ class TestExitProtocol:
             target = target[key]
         target[path[-1]] = value
         code, out, err = invoke("rr", "validate", "-", stdin=json.dumps(data))
+        assert (code, out) == (65, "")
+        assert err.startswith("InvalidParams:")
+
+    def test_trace_missing_arc(self):
+        _, built, _ = invoke("rr", "build", "--variant", "fig2a",
+                             "--p", "3", "--q", "1")
+        data = json.loads(built)
+        data["curves"]["alpha"] = ["arc:99.+"]
+        code, out, err = invoke("rr", "trace", "-", "alpha", stdin=json.dumps(data))
         assert (code, out) == (65, "")
         assert err.startswith("InvalidParams:")
 
