@@ -29,22 +29,6 @@ _VERTEX_INDEX = {v: i for i, v in enumerate(VERTICES)}
 
 SLOTS = tuple(combinations_with_replacement(VERTICES, 2))
 
-# The four consistent renamings: swap A+ with A-, B+ with B-, or both.
-_RELABELINGS = []
-for _swap_a in (False, True):
-    for _swap_b in (False, True):
-        _relabel = {}
-        for _v in VERTICES:
-            _w = _v
-            if _swap_a and _v[0] == "A":
-                _w = "A" + ("-" if _v[1] == "+" else "+")
-            if _swap_b and _v[0] == "B":
-                _w = "B" + ("-" if _v[1] == "+" else "+")
-            _relabel[_v] = _w
-        _RELABELINGS.append(_relabel)
-del _swap_a, _swap_b, _relabel, _v, _w
-
-
 def _slot(v: str, w: str) -> tuple[str, str]:
     if v not in _VERTEX_INDEX or w not in _VERTEX_INDEX:
         raise ValueError(f"unknown vertex in edge ({v!r}, {w!r})")
@@ -234,17 +218,30 @@ def _beta_is_single_dual(graph: HGraph) -> int | None:
     return edges[("B+", "B-")]
 
 
+# The crossing slot pairs of the fig5c shape.  Swapping A+ with A- or
+# B+ with B- fixes the A+A- slot and maps each pair onto itself or the
+# other, so they are the shape under all four renamings.
+_FIG5C_CROSSINGS = (
+    (("A+", "B-"), ("A-", "B+")),
+    (("A+", "B+"), ("A-", "B-")),
+)
+
+
 def _fig5c_shape(graph: HGraph) -> tuple[int, int] | None:
     """(c, s) when, up to renaming, alpha is c A+A-, s >= 2 A+B- and s
-    A-B+ edges.  Every renaming that matches gives the same (c, s)."""
-    for mapping in _RELABELINGS:
-        edges = graph.relabeled(mapping).edges("alpha")
-        if set(edges) != {("A+", "A-"), ("A+", "B-"), ("A-", "B+")}:
-            continue
-        c = edges[("A+", "A-")]
-        s = edges[("A+", "B-")]
-        if s >= 2 and edges[("A-", "B+")] == s:
-            return c, s
+    A-B+ edges.
+
+    The alpha edges are read as they are: exactly the A+A- slot plus
+    one crossing pair of ``_FIG5C_CROSSINGS``, with equal multiplicity
+    s >= 2 in both of its slots.
+    """
+    edges = graph._edges.get("alpha", {})
+    if len(edges) != 3 or ("A+", "A-") not in edges:
+        return None
+    for first, second in _FIG5C_CROSSINGS:
+        s = edges.get(first, 0)
+        if s >= 2 and edges.get(second) == s:
+            return edges[("A+", "A-")], s
     return None
 
 

@@ -27,6 +27,7 @@ from .words import (
     _cyclic_core,
     _invert,
     _join,
+    _power_period,
     _reduce,
     _runs,
 )
@@ -200,11 +201,8 @@ def as_proper_power(word: Word | CyclicWord) -> tuple[CyclicWord, int] | None:
         letters = word.letters
     else:
         letters = _canonical_rotation(_cyclic_core(word.letters))
-    n = len(letters)
-    for period in range(1, n // 2 + 1):
-        if n % period:
-            continue
-        if letters[period:] + letters[:period] == letters:
-            root = CyclicWord._raw(_canonical_rotation(letters[:period]))
-            return root, n // period
-    return None
+    period = _power_period(letters)
+    if period == len(letters):
+        return None
+    # A least rotation of root**k is the least rotation of root, k times.
+    return CyclicWord._raw(letters[:period]), len(letters) // period

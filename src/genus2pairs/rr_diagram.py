@@ -85,17 +85,25 @@ class ArcStep(NamedTuple):
 Step = Union[TraverseStep, ArcStep]
 
 
+def _index(text: str) -> int:
+    """A band or arc index; negative ones would count from the end."""
+    index = int(text)
+    if index < 0:
+        raise ValueError(text)
+    return index
+
+
 def parse_step(token: str) -> Step:
     try:
         if token.startswith("arc:"):
             index, sign = token[4:].split(".")
             if sign not in ENDS:
                 raise ValueError(token)
-            return ArcStep(int(index), 1 if sign == "+" else -1)
+            return ArcStep(_index(index), 1 if sign == "+" else -1)
         handle, band, sign = token.split(".")
         if handle not in HANDLES or sign not in ENDS:
             raise ValueError(token)
-        return TraverseStep(handle, int(band), 1 if sign == "+" else -1)
+        return TraverseStep(handle, _index(band), 1 if sign == "+" else -1)
     except (ValueError, IndexError):
         raise InvalidParamsError(f"malformed step token {token!r}") from None
 
@@ -105,7 +113,7 @@ def parse_endpoint(token: str) -> Endpoint:
         handle, band, end = token.split(".")
         if handle not in HANDLES or end not in ENDS:
             raise ValueError(token)
-        return Endpoint(handle, int(band), end)
+        return Endpoint(handle, _index(band), end)
     except (ValueError, IndexError):
         raise InvalidParamsError(f"malformed endpoint token {token!r}") from None
 

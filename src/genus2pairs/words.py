@@ -15,9 +15,10 @@ rotation blind.
 from __future__ import annotations
 
 import re
+from math import gcd
 from typing import Iterable, Iterator, NamedTuple
 
-from .errors import EmptyWordError, InvalidWordError
+from .errors import BudgetExceededError, EmptyWordError, InvalidWordError
 
 GENERATORS = "AB"
 LETTERS = "AaBb"
@@ -29,7 +30,11 @@ _ORDER_KEY = str.maketrans("AaBb", "0123")
 
 _TOKEN = re.compile(r"([AaBb])(?:\^(-?\d+))?\s*")
 _DELETE_LETTERS = str.maketrans("", "", LETTERS)
-_CANCELLING_PAIR = re.compile("Aa|aA|Bb|bB")
+# Caret exponents may ask for at most this many letters in one word.
+_MAX_EXPANDED_LETTERS = 10_000_000
+# Words up to this length take the run-start rotation path, which has
+# less fixed cost than the run-length path used above it.
+_SHORT_ROTATION = 64
 
 
 def parse_letters(text: str) -> str:
@@ -46,7 +51,7 @@ def parse_letters(text: str) -> str:
     if stripped == "1":
         return ""
     pos = 0
-    parts = []
+    tokens = []
     while pos < len(stripped):
         m = _TOKEN.match(stripped, pos)
         if m is None:
@@ -55,18 +60,29 @@ def parse_letters(text: str) -> str:
                 f"expected a letter from {LETTERS!r}"
             )
         letter, exponent = m.group(1), m.group(2)
-        if exponent is None:
-            parts.append(letter)
-        else:
-            n = int(exponent)
-            parts.append((letter if n >= 0 else _INV[letter]) * abs(n))
+        count = 1
+        if exponent is not None:
+            if exponent[0] == "-":
+                letter = _INV[letter]
+            digits = exponent.lstrip("-0")
+            # Any count with more digits than the budget is past it, and
+            # int() refuses very long digit strings.
+            if len(digits) > len(str(_MAX_EXPANDED_LETTERS)):
+                count = _MAX_EXPANDED_LETTERS + 1
+            else:
+                count = int(digits or "0")
+        tokens.append((letter, count))
         pos = m.end()
-    return "".join(parts)
+    if sum(count for _, count in tokens) > _MAX_EXPANDED_LETTERS:
+        raise BudgetExceededError(
+            f"caret exponents ask for more than {_MAX_EXPANDED_LETTERS:,} letters"
+        )
+    return "".join(letter * count for letter, count in tokens)
 
 
 def _reduce(letters: str) -> str:
     """Freely reduce a letter string by cancelling adjacent inverse pairs."""
-    if not _CANCELLING_PAIR.search(letters):
+    if not ("Aa" in letters or "aA" in letters or "Bb" in letters or "bB" in letters):
         return letters
     stack: list[str] = []
     push = stack.append
@@ -107,21 +123,80 @@ def _cyclic_core(letters: str) -> str:
     return letters[lo:hi]
 
 
+def _power_period(letters: str) -> int:
+    """Length of the primitive root of ``letters``: the least p dividing
+    n = len(letters) with ``letters == letters[:p] * (n // p)``.
+
+    A k-th power repeats every letter count k times, so k divides the
+    gcd of the four counts.  k is grown one prime factor of that gcd at
+    a time, each step checked by one slice compare.
+    """
+    n = len(letters)
+    g = gcd(
+        letters.count("A"), letters.count("a"), letters.count("B"), letters.count("b")
+    )
+    k = 1
+    factor = 2
+    while g > 1:
+        if factor * factor > g:
+            factor = g
+        if g % factor:
+            factor += 1
+            continue
+        g //= factor
+        period = n // (k * factor)
+        if letters[period:] == letters[: n - period]:
+            k *= factor
+        else:  # no higher power of this factor divides k either
+            while g % factor == 0:
+                g //= factor
+    return n // k
+
+
 def _canonical_rotation(letters: str) -> str:
     """Least rotation of a string under the order A < a < B < b.
 
     The least rotation starts at the least letter, and any letter that
     follows a run of it is larger, so it starts where a cyclic run of
-    the least letter starts; only those starts are compared.
+    the least letter starts.  Short words compare all those starts.
+    Longer words are first cut to their primitive root, whose least
+    rotation, repeated, is the answer; then only the starts of the
+    longest runs are compared, since a longer run of the least letter
+    beats a shorter one where the shorter one ends.
+
+    >>> _canonical_rotation("BAAB" * 30)[:8]
+    'AABBAABB'
+    >>> w = "B" + "A" * 99
+    >>> _canonical_rotation(w) == "A" * 99 + "B"
+    True
     """
     n = len(letters)
     if n <= 1:
         return letters
     keyed = letters.translate(_ORDER_KEY)
-    least = min(keyed)
-    starts = [i for i in range(n) if keyed[i] == least and keyed[i - 1] != least]
-    if not starts:  # a power of one letter: every rotation is the same
-        return letters
+    if n <= _SHORT_ROTATION:
+        least = min(keyed)
+        starts = [i for i in range(n) if keyed[i] == least and keyed[i - 1] != least]
+        if not starts:  # a power of one letter: every rotation is the same
+            return letters
+    else:
+        period = _power_period(letters)
+        if period < n:
+            return _canonical_rotation(letters[:period]) * (n // period)
+        least = next(key for key in "0123" if key in keyed)
+        run = re.compile(least + "+")
+        # Rotate to start on another letter, so that no run wraps around.
+        head = run.match(keyed)
+        if head:
+            shift = head.end()
+            keyed = keyed[shift:] + keyed[:shift]
+            letters = letters[shift:] + letters[:shift]
+        longest = least * max(map(len, run.findall(keyed)))
+        starts = []
+        i = keyed.find(longest)
+        while i >= 0:
+            starts.append(i)
+            i = keyed.find(longest, i + len(longest))
     if len(starts) == 1:
         best = starts[0]
     else:
@@ -338,7 +413,8 @@ def cyclic_equal(u: CyclicWord, v: CyclicWord, up_to_inversion: bool = False) ->
     """Rotation-invariant equality, optionally also inversion-invariant."""
     if u == v:
         return True
-    return up_to_inversion and u == ~v
+    # Inversion keeps the length, so classes of other lengths never match.
+    return up_to_inversion and len(u) == len(v) and u == ~v
 
 
 def substitute(word: Word, image_a: Word, image_b: Word) -> Word:

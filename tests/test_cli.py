@@ -207,6 +207,7 @@ class TestExitProtocol:
               "--a", "1"), "InvalidParams"),
             (("classify", "--variant", "fig3a", "--a", "2", "--b", "1",
               "--p", "3", "--eps", "1", "--q", "1"), "InvalidParams"),
+            (("word", "reduce", "A^99999999999"), "BudgetExceeded"),
         ],
     )
     def test_domain_errors_exit_65(self, args, name):
@@ -244,6 +245,7 @@ class TestExitProtocol:
             (("arcs", 0, "mult"), 1.0),
             (("curves",), ["A.0.+"]),
             (("handles", "A", "bands", 0, "label"), [3, 1, 7]),
+            (("arcs", 0, "from"), "A.-1.+"),
         ],
     )
     def test_malformed_diagram_json(self, path, value):
@@ -264,6 +266,26 @@ class TestExitProtocol:
         data = json.loads(built)
         data["curves"]["alpha"] = ["arc:99.+"]
         code, out, err = invoke("rr", "trace", "-", "alpha", stdin=json.dumps(data))
+        assert (code, out) == (65, "")
+        assert err.startswith("InvalidParams:")
+
+
+    @pytest.mark.parametrize("command", ["trace", "validate"])
+    @pytest.mark.parametrize(
+        "curve, tokens",
+        [
+            ("beta", ["B.-1.+", "arc:2.+"]),
+            ("alpha", ["A.0.+", "arc:-3.+", "B.0.+", "arc:-2.+"]),
+        ],
+    )
+    def test_negative_indices_exit_65(self, command, curve, tokens):
+        # Negative indices would count from the end of the band or arc list.
+        _, built, _ = invoke("rr", "build", "--variant", "fig2a",
+                             "--p", "3", "--q", "1")
+        data = json.loads(built)
+        data["curves"][curve] = tokens
+        args = ("trace", "-", curve) if command == "trace" else ("validate", "-")
+        code, out, err = invoke("rr", *args, stdin=json.dumps(data))
         assert (code, out) == (65, "")
         assert err.startswith("InvalidParams:")
 

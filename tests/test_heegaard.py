@@ -1,6 +1,7 @@
 import itertools
 
 import pytest
+from hypothesis import given, strategies as st
 
 from genus2pairs.errors import ParityViolationError
 from genus2pairs.heegaard import (
@@ -19,6 +20,83 @@ def fig5c_graph(c=3, s=2):
         alpha={"A+A-": c, "A+B-": s, "A-B+": s},
         beta={"B+B-": 1},
     )
+
+
+# The four renamings: swap A+ with A-, B+ with B-, or both.
+FLIP = {"+": "-", "-": "+"}
+RENAMINGS = [
+    {v: v[0] + (FLIP[v[1]] if v[0] in swapped else v[1]) for v in VERTICES}
+    for swapped in ("", "A", "B", "AB")
+]
+
+
+def reference_shape(graph):
+    """(c, s) by matching each renamed copy of the graph literally."""
+    for mapping in RENAMINGS:
+        edges = graph.relabeled(mapping).edges("alpha")
+        if set(edges) != {("A+", "A-"), ("A+", "B-"), ("A-", "B+")}:
+            continue
+        c, s = edges[("A+", "A-")], edges[("A+", "B-")]
+        if s >= 2 and edges[("A-", "B+")] == s:
+            return c, s
+    return None
+
+
+def reference_match(graph):
+    if set(graph.curves) != {"alpha", "beta"}:
+        return None
+    if graph.edges("beta") != {("B+", "B-"): 1}:
+        return None
+    shape = reference_shape(graph)
+    return shape if shape is not None and shape[0] >= shape[1] else None
+
+
+def reference_witness(graph):
+    """minimality_witness for a balanced graph whose beta is B+B- edges."""
+    edges = graph.edges("alpha")
+    crossing = any({v[0], w[0]} == {"A", "B"} for v, w in edges)
+    if not edges.get(("A+", "A-")) and crossing:
+        return "BandsumReducesB"
+    shape = reference_shape(graph)
+    if shape is not None and shape[0] < shape[1]:
+        return "BandsumReducesB"
+    return None
+
+
+def assert_agrees_with_reference(alpha, beta):
+    graph = HGraph(alpha=alpha, beta=beta, check_parity=False)
+    assert matches_fig5c(graph) == reference_match(graph)
+    if not graph.parity_violations() and set(graph.edges("beta")) == {("B+", "B-")}:
+        assert minimality_witness(graph) == reference_witness(graph)
+
+
+multiplicities = st.integers(0, 50)
+# Random assignments rarely hit the shape, so also build near-misses of
+# it: an A+A- slot, one crossing pair with nearly equal multiplicities,
+# and maybe one more slot.
+shaped_alphas = st.builds(
+    lambda c, pair, s, t, extra, m: {
+        ("A+", "A-"): c,
+        pair[0]: s,
+        pair[1]: t,
+        **({extra: m} if extra else {}),
+    },
+    multiplicities,
+    st.sampled_from(
+        [(("A+", "B-"), ("A-", "B+")), (("A+", "B+"), ("A-", "B-")),
+         (("A+", "B-"), ("A-", "B-")), (("A+", "B+"), ("A+", "B-"))]
+    ),
+    multiplicities,
+    multiplicities,
+    st.one_of(st.none(), st.sampled_from(SLOTS)),
+    multiplicities,
+)
+random_alphas = st.lists(multiplicities, min_size=10, max_size=10).map(
+    lambda ms: dict(zip(SLOTS, ms))
+)
+betas = st.sampled_from(
+    [{("B+", "B-"): 1}, {("B+", "B-"): 2}, {("B+", "B-"): 1, ("A+", "A-"): 1}]
+)
 
 
 class TestConstruction:
@@ -154,6 +232,22 @@ class TestMatchesFig5c:
                 assert matches_fig5c(g) == (c, s)
                 assert minimality_witness(g) is None
                 assert cut_vertices(g, "alpha") >= {"A+", "A-"}
+
+
+class TestFig5cReference:
+    """The direct slot reading against the four-renaming scan."""
+
+    def test_every_assignment_up_to_total_six(self):
+        for total in range(7):
+            for chosen in itertools.combinations_with_replacement(SLOTS, total):
+                alpha = {}
+                for slot in chosen:
+                    alpha[slot] = alpha.get(slot, 0) + 1
+                assert_agrees_with_reference(alpha, {("B+", "B-"): 1})
+
+    @given(st.one_of(shaped_alphas, random_alphas), betas)
+    def test_random_multiplicities_up_to_50(self, alpha, beta):
+        assert_agrees_with_reference(alpha, beta)
 
 
 class TestMinimalityWitness:

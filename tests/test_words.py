@@ -1,9 +1,13 @@
+import random
 from itertools import groupby
+from math import gcd
+from unittest import mock
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
-from genus2pairs.errors import EmptyWordError, InvalidWordError
+from genus2pairs.errors import BudgetExceededError, EmptyWordError, InvalidWordError
+from genus2pairs.rr_diagram import alpha_word_fig3a
 from genus2pairs.words import (
     CyclicWord,
     Syllable,
@@ -13,6 +17,7 @@ from genus2pairs.words import (
     _canonical_rotation,
     _invert,
     _join,
+    _power_period,
     _reduce,
     parse_letters,
     substitute,
@@ -39,8 +44,24 @@ def least_rotation(letters):
     """Least rotation under A < a < B < b, by trying every rotation."""
     if not letters:
         return letters
-    rotations = [letters[i:] + letters[:i] for i in range(len(letters))]
-    return min(rotations, key=lambda r: r.translate(_ORDER))
+    n = len(letters)
+    doubled = (letters + letters).translate(_ORDER)
+    best = min(range(n), key=lambda i: doubled[i : i + n])
+    return letters[best:] + letters[:best]
+
+
+def least_period(letters):
+    """Least p dividing len(letters) with letters == letters[:p] repeated."""
+    n = len(letters)
+    return next(
+        (p for p in range(1, n + 1) if n % p == 0 and letters == letters[:p] * (n // p)),
+        0,
+    )
+
+
+def rotated(s, shift):
+    shift %= max(len(s), 1)
+    return s[shift:] + s[:shift]
 
 
 # Short strings, one-letter powers, and long near-periodic strings (a
@@ -56,6 +77,74 @@ rotation_inputs = st.one_of(
     ),
 )
 reduced_strings = st.text(alphabet="AaBb", max_size=40).map(stack_reduce)
+
+# Long words for the run-length rotation path, each turned by a random
+# shift; lengths reach from below the short-word cutoff to ~5,000.
+shifts = st.integers(0, 10_000)
+roots = st.text(alphabet="AaBb", min_size=1, max_size=60)
+# Roots may be powers themselves, so k ranges over products of primes.
+proper_powers = st.builds(
+    lambda root, j, k, shift: rotated(root * j * k, shift),
+    roots,
+    st.integers(1, 6),
+    st.integers(2, 5),
+    shifts,
+)
+# Letter counts all divisible by k, yet (almost always) not a power.
+shuffled_multiples = st.builds(
+    lambda root, k, seed: "".join(random.Random(seed).sample(root * k, len(root) * k)),
+    st.text(alphabet="AaBb", min_size=2, max_size=300),
+    st.integers(2, 5),
+    st.integers(0, 2**32),
+)
+near_periodic = st.builds(
+    lambda block, n, tail, shift: rotated(block * n + tail, shift),
+    st.text(alphabet="AaBb", min_size=1, max_size=15),
+    st.integers(1, 400),
+    st.text(alphabet="AaBb", max_size=6),
+    shifts,
+)
+one_extra_letter = st.builds(
+    lambda base, other, p, shift: rotated(base * p + other, shift),
+    st.sampled_from("AaBb"),
+    st.sampled_from("AaBb"),
+    st.integers(1, 5000),
+    shifts,
+)
+
+
+def _fig3a(a, b, p, eps, form, shift):
+    while gcd(a, b) > 1:
+        b += 1
+    word = alpha_word_fig3a(a, b, p, eps).letters
+    word = (word, _invert(word), word * 3, _invert(word) * 3)[form]
+    return rotated(word, shift)
+
+
+fig3a_words = st.builds(
+    _fig3a,
+    st.integers(1, 40),
+    st.integers(1, 40),
+    st.integers(3, 25),
+    st.sampled_from((-1, 1)),
+    st.integers(0, 3),
+    shifts,
+)
+# The least letter opens and closes the string, so its run wraps around.
+wrapping_runs = st.builds(
+    lambda head, middle, tail: "A" * head + middle + "A" * tail,
+    st.integers(1, 80),
+    st.text(alphabet="aBb", min_size=1, max_size=10).flatmap(
+        lambda edge: st.text(alphabet="AaBb", max_size=150).map(
+            lambda inner: edge + inner + edge[::-1]
+        )
+    ),
+    st.integers(1, 80),
+)
+long_rotation_inputs = st.one_of(
+    proper_powers, shuffled_multiples, near_periodic, one_extra_letter,
+    fig3a_words, wrapping_runs,
+)
 
 
 class TestParsing:
@@ -76,6 +165,18 @@ class TestParsing:
         with pytest.raises(InvalidWordError):
             parse_letters(bad)
 
+    @pytest.mark.parametrize(
+        "text",
+        ["A^99999999999", "a^-99999999999", "A^6000000 B^-6000000", "B^" + "9" * 5000],
+    )
+    def test_caret_budget_checked_before_expansion(self, text):
+        with pytest.raises(BudgetExceededError):
+            parse_letters(text)
+
+    def test_caret_exponent_edge_forms(self):
+        assert parse_letters("A^0 B^-0 a^-003") == "AAA"
+        assert parse_letters("B^0000000000000002") == "BB"
+
 
 class TestKernelFastPaths:
     """Each short cut of the word kernel against its plain definition."""
@@ -83,6 +184,28 @@ class TestKernelFastPaths:
     @given(rotation_inputs)
     def test_canonical_rotation_is_least_rotation(self, s):
         assert _canonical_rotation(s) == least_rotation(s)
+
+    @given(long_rotation_inputs)
+    def test_long_canonical_rotation_is_least_rotation(self, s):
+        assert _canonical_rotation(s) == least_rotation(s)
+
+    @given(st.one_of(long_rotation_inputs, rotation_inputs))
+    def test_power_period_is_least_period(self, s):
+        assert _power_period(s) == least_period(s)
+
+    def test_canonical_rotation_examples(self):
+        fig3a = alpha_word_fig3a(23, 37, 25, 1).letters
+        for word in (
+            "A" * 1499 + "B",
+            "A" * 500 + "B" + "A" * 999,
+            "AAABAAABAAABAAB" * 100,
+            ("A" * 6 + "B" * 6) * 4,
+            fig3a,
+            fig3a * 3,
+            _invert(fig3a) * 3,
+        ):
+            for shift in (0, 1, len(word) // 2):
+                assert _canonical_rotation(rotated(word, shift)) == least_rotation(word)
 
     @given(reduced_strings, reduced_strings, st.integers(0, 40))
     def test_join_matches_full_reduction(self, x, y, overlap):
@@ -257,6 +380,15 @@ class TestCyclicEqual:
         assert not cyclic_equal(
             CyclicWord("AB"), CyclicWord("AAB"), up_to_inversion=True
         )
+
+    @given(letter_strings, letter_strings)
+    def test_unequal_lengths_skip_inversion(self, s, t):
+        u, v = CyclicWord(s), CyclicWord(t)
+        assume(len(u) != len(v))
+        with mock.patch.object(
+            CyclicWord, "__invert__", side_effect=AssertionError("inverted")
+        ):
+            assert not cyclic_equal(u, v, up_to_inversion=True)
 
 
 class TestSyllables:
