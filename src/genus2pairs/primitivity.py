@@ -1,16 +1,17 @@
 """Primitivity, basis pairs, and proper powers in F(A, B).
 
-A word is primitive when it is part of some free basis.  Up to
-inverting either generator and swapping the two, a cyclically reduced
-primitive that uses both generators must spell out as an alternating
-product in which one generator carries exponent 1 throughout while the
-other carries exponents drawn from {e, e+1} for a single e > 0.  That
-exponent shape is necessary, not sufficient; but whenever it holds, the
-substitution that divides out e letters of the base generator strictly
-shortens the cyclic word, and iterating the shape-check plus shortening
-until a single letter (primitive) or a dead end (not primitive) remains
-decides primitivity.  The brute-force enumeration in ``oracle`` is kept
-as an independent certificate of this loop.
+A word is primitive when it is part of some free basis.  By
+Osborne-Zieschang ("Primitives in the free group on two generators",
+Invent. Math. 1981) and Cohen-Metzler-Zimmermann ("What does a basis of
+F(a,b) look like?", Math. Ann. 1981), a cyclically reduced word with
+abelianization (x, y), x, y != 0, is primitive exactly when gcd(x, y)
+is 1, each generator occurs with one sign only, and the word is
+balanced: any two cyclic factors of one length hold the same number of
+each letter, give or take one.  Such a word is a conjugate of a signed
+Christoffel word.  ``is_primitive`` decides balance by Euclid's
+algorithm on the gaps between occurrences of the rarer letter, using
+string splits and joins only.  The closure enumeration in ``oracle`` is
+kept as an independent certificate.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from .words import (
     _invert,
     _join,
     _power_period,
-    _reduce,
     _runs,
 )
 
@@ -114,7 +114,7 @@ def primitive_form(word: CyclicWord) -> PrimitiveForm | None:
     """Exponent shape of a cyclic word using both generators, if any.
 
     Every primitive has one; some non-primitives (e.g. (A^2*B)^2) do
-    too, which is why ``is_primitive`` iterates.
+    too, so the shape alone does not decide primitivity.
     """
     if not word:
         raise EmptyWordError("the identity has no exponent shape")
@@ -137,27 +137,49 @@ def primitive_form(word: CyclicWord) -> PrimitiveForm | None:
     )
 
 
+def _balanced(cycle: str, separator: str) -> bool:
+    """True iff a cyclic word in two symbols is balanced and not a power.
+
+    The gaps are the numbers of other symbols between consecutive
+    separators, read cyclically.  They must take two values that differ
+    by one; the rarer value then becomes the separator of a word with
+    one symbol per gap.  That is the inverse of a Sturmian substitution,
+    so balance and aperiodicity carry over in both directions, and each
+    step is one step of Euclid's algorithm on the two symbol counts.
+
+    >>> _balanced("AABAAAB", "B"), _balanced("AABAAAAB", "B")
+    (True, False)
+    """
+    while True:
+        start = cycle.index(separator)
+        gaps = list(map(len, (cycle[start + 1:] + cycle[:start]).split(separator)))
+        if len(gaps) == 1:
+            return True
+        low = min(gaps)
+        if max(gaps) != low + 1:
+            return False
+        if 2 * gaps.count(low) < len(gaps):
+            symbols = {low: "|", low + 1: "."}
+        else:
+            symbols = {low: ".", low + 1: "|"}
+        cycle = "".join(map(symbols.__getitem__, gaps))
+        separator = "|"
+
+
 def _is_primitive_core(letters: str) -> bool:
     """Decide primitivity of a cyclically reduced letter string."""
     x, y = _abelianization(letters)
     if math.gcd(x, y) != 1:
         return False
-    while True:
-        upper = letters.upper()
-        if "A" not in upper or "B" not in upper:
-            return len(letters) == 1
-        match = _match_form(letters)
-        if match is None:
-            return False
-        e, _, _, _, _, _, table = match
-        relabeled = letters.translate(table)
-        shorten = {ord("B"): "a" * e + "B", ord("b"): "b" + "A" * e}
-        shortened = _cyclic_core(_reduce(relabeled.translate(shorten)))
-        if len(shortened) >= len(letters):
-            raise AssertionError(
-                f"shortening step did not shorten {letters!r}: got {shortened!r}"
-            )
-        letters = shortened
+    if not x or not y:
+        return len(letters) == 1
+    if len(letters) != abs(x) + abs(y):
+        return False  # both signs of one generator occur
+    if abs(y) <= abs(x):
+        rare = "B" if y > 0 else "b"
+    else:
+        rare = "A" if x > 0 else "a"
+    return _balanced(letters, rare)
 
 
 def is_primitive(word: Word | CyclicWord) -> bool:

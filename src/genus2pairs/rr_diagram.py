@@ -20,6 +20,7 @@ orientation.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import NamedTuple, Union
 
@@ -140,16 +141,6 @@ class Violation:
         return f"{self.kind}: {self.message}"
 
 
-def _traverse_ends(step: TraverseStep) -> tuple[Endpoint, Endpoint]:
-    entry = Endpoint(step.handle, step.band, "-" if step.direction > 0 else "+")
-    exit_ = Endpoint(step.handle, step.band, "+" if step.direction > 0 else "-")
-    return entry, exit_
-
-
-def _arc_ends(arc: Arc, direction: int) -> tuple[Endpoint, Endpoint]:
-    return (arc.start, arc.stop) if direction > 0 else (arc.stop, arc.start)
-
-
 def _check_handle(label: HandleLabel, out: list[Violation]) -> None:
     name = label.handle
     if not label.bands:
@@ -263,56 +254,59 @@ def validate(diagram: RRDiagram) -> list[Violation]:
                             )
                         )
 
-    band_usage: dict[tuple[str, int], int] = {}
-    arc_usage: dict[int, int] = {}
+    # Walks compare plain (handle, band, end) tuples, which equal the
+    # arcs' Endpoints; the ends of each distinct step are found once.
+    band_count = {name: len(diagram.handle(name).bands) for name in HANDLES}
+    arc_orders = [((arc.start, arc.stop), (arc.stop, arc.start)) for arc in diagram.arcs]
+    step_ends: dict[Step, tuple[tuple, tuple]] = {}
+    for step in set().union(*diagram.curves.values()):
+        if isinstance(step, TraverseStep):
+            if step.handle not in band_count or step.band >= band_count[step.handle]:
+                continue
+            plus, minus = (step.handle, step.band, "+"), (step.handle, step.band, "-")
+            step_ends[step] = (minus, plus) if step.direction > 0 else (plus, minus)
+        elif step.arc < len(arc_orders):
+            step_ends[step] = arc_orders[step.arc][0 if step.direction > 0 else 1]
+    usage: Counter[Step] = Counter()
     for curve, steps in diagram.curves.items():
         if not steps:
             out.append(Violation("EmptyCurve", f"curve {curve} has no steps"))
             continue
-        walk_ok = True
-        ends: list[tuple[Endpoint, Endpoint]] = []
-        for step in steps:
-            if isinstance(step, TraverseStep):
-                if step.handle not in HANDLES or not band_exists(
-                    Endpoint(step.handle, step.band, "+")
-                ):
-                    out.append(
-                        Violation(
-                            "UnknownStep",
-                            f"curve {curve} traverses missing band "
-                            f"{step.handle}.{step.band}",
-                        )
-                    )
-                    walk_ok = False
+        usage.update(steps)
+        walk = list(map(step_ends.get, steps))
+        if None in walk:
+            for step in steps:
+                if step in step_ends:
                     continue
-                band_usage[(step.handle, step.band)] = (
-                    band_usage.get((step.handle, step.band), 0) + 1
+                if isinstance(step, TraverseStep):
+                    message = (f"curve {curve} traverses missing band "
+                               f"{step.handle}.{step.band}")
+                else:
+                    message = f"curve {curve} uses missing arc {step.arc}"
+                out.append(Violation("UnknownStep", message))
+            continue
+        entries, exits = zip(*walk)
+        following = entries[1:] + entries[:1]
+        if exits == following:
+            continue
+        for i, (exit_, entry_next) in enumerate(zip(exits, following)):
+            if exit_ != entry_next:
+                out.append(
+                    Violation(
+                        "OpenCurve",
+                        f"curve {curve} breaks between step {i} "
+                        f"(exits {Endpoint(*exit_).token()}) and step "
+                        f"{(i + 1) % len(steps)} "
+                        f"(enters {Endpoint(*entry_next).token()})",
+                    )
                 )
-                ends.append(_traverse_ends(step))
-            else:
-                if step.arc >= len(diagram.arcs):
-                    out.append(
-                        Violation(
-                            "UnknownStep",
-                            f"curve {curve} uses missing arc {step.arc}",
-                        )
-                    )
-                    walk_ok = False
-                    continue
-                arc_usage[step.arc] = arc_usage.get(step.arc, 0) + 1
-                ends.append(_arc_ends(diagram.arcs[step.arc], step.direction))
-        if walk_ok:
-            for i, (_, exit_) in enumerate(ends):
-                entry_next = ends[(i + 1) % len(ends)][0]
-                if exit_ != entry_next:
-                    out.append(
-                        Violation(
-                            "OpenCurve",
-                            f"curve {curve} breaks between step {i} "
-                            f"(exits {exit_.token()}) and step "
-                            f"{(i + 1) % len(ends)} (enters {entry_next.token()})",
-                        )
-                    )
+    band_usage: Counter[tuple[str, int]] = Counter()
+    arc_usage: Counter[int] = Counter()
+    for step, used in usage.items():
+        if isinstance(step, TraverseStep):
+            band_usage[step.handle, step.band] += used
+        else:
+            arc_usage[step.arc] += used
     if not any(v.kind in ("UnknownStep", "EmptyCurve") for v in out) and diagram.curves:
         for name in HANDLES:
             for i, band in enumerate(diagram.handle(name).bands):

@@ -1,10 +1,13 @@
+import copy
 import io
 import json
 import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from genus2pairs.cli import main
+from genus2pairs.rr_diagram import CanonicalParams, build_canonical, diagram_to_json
 
 
 def invoke(*args, stdin=None):
@@ -93,6 +96,30 @@ class TestRRCommands:
         code, out, _ = invoke("rr", "validate", "-", stdin=json.dumps(bad))
         assert code == 1
         assert any(line.startswith("GcdViolation:") for line in out.splitlines())
+
+    def test_validate_stdout_on_broken_walk(self):
+        _, built, _ = invoke("rr", "build", "--variant", "fig3a", "--a", "3",
+                             "--b", "2", "--p", "2", "--eps", "1")
+        data = json.loads(built)
+        alpha = data["curves"]["alpha"]
+        alpha[3], alpha[7] = alpha[7], alpha[3]
+        alpha[6] = "B.0.-"
+        assert invoke("rr", "validate", "-", stdin=json.dumps(data)) == (
+            1,
+            "OpenCurve: curve alpha breaks between step 3 (exits A.1.-) and "
+            "step 4 (enters A.0.-)\n"
+            "OpenCurve: curve alpha breaks between step 5 (exits B.0.-) and "
+            "step 6 (enters B.0.+)\n"
+            "OpenCurve: curve alpha breaks between step 6 (exits B.0.-) and "
+            "step 7 (enters B.0.+)\n"
+            "OpenCurve: curve alpha breaks between step 7 (exits A.0.-) and "
+            "step 8 (enters A.1.-)\n",
+            "",
+        )
+        alpha[10] = "B.4.+"
+        assert invoke("rr", "validate", "-", stdin=json.dumps(data)) == (
+            1, "UnknownStep: curve alpha traverses missing band B.4\n", ""
+        )
 
     def test_trace_unknown_curve_is_domain_error(self):
         _, built, _ = invoke("rr", "build", "--variant", "fig1a")
@@ -303,3 +330,108 @@ class TestDeterminism:
     )
     def test_byte_identical_across_runs(self, args):
         assert invoke(*args) == invoke(*args)
+
+
+EXIT_CODES = {0, 1, 2, 64, 65}
+
+_TOKENS = ["A.0.+", "A.1.-", "B.0.+", "B.2.-", "arc:0.+", "arc:4.-", "arc:-1.+",
+           "A.-1.+", "C.0.+", "A.0", "A+A-", "A+B-", "A-B+", "B+B-", "X+Y-"]
+_KEYS = ["mult", "label", "from", "to", "bands", "handles", "arcs", "curves",
+         "A", "B", "alpha", "beta", "A+A-", "B+B-"]
+# Integers stay small: a disk label expands into that many letters in `rr trace`.
+_json_leaves = st.one_of(
+    st.none(), st.booleans(), st.integers(-1000, 1000),
+    st.floats(allow_nan=False, allow_infinity=False), st.text(max_size=6),
+    st.sampled_from(_TOKENS),
+)
+_json_values = st.recursive(
+    _json_leaves,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(_KEYS) | st.text(max_size=4), inner, max_size=3),
+    max_leaves=8,
+)
+_DIAGRAMS = [
+    diagram_to_json(build_canonical(params))
+    for params in (CanonicalParams.fig1a(), CanonicalParams.fig2a(3, 1),
+                   CanonicalParams.fig3a(3, 2, 2, 1))
+]
+_GRAPHS = [
+    {"alpha": {"A+A-": 3, "A+B-": 2, "A-B+": 2}, "beta": {"B+B-": 1}},
+    {"alpha": {"A+B-": 1, "A-B+": 1}, "beta": {"B+B-": 1}},
+]
+_letters = st.sampled_from("AaBb") | st.builds(
+    "{}^{}".format, st.sampled_from("AaBb"), st.integers(-30, 30)
+)
+_junk = st.sampled_from([" ", "^", "^-", "A^", "B^x", "Z", "1", "-"])
+_words = st.one_of(
+    st.lists(_letters, max_size=12).map(" ".join),
+    st.lists(_letters | _junk, max_size=12).map("".join),
+    st.text(alphabet="AaBb^-0123456789 xZ", max_size=8),
+)
+
+
+def _mutated(draw, document):
+    """The document with one to three entries replaced, deleted or added."""
+    doc = copy.deepcopy(document)
+    for _ in range(draw(st.integers(1, 3))):
+        node = doc
+        while True:
+            keys = sorted(node) if isinstance(node, dict) else list(range(len(node)))
+            if not keys:
+                break
+            key = draw(st.sampled_from(keys))
+            child = node[key]
+            if not (isinstance(child, (dict, list)) and child and draw(st.booleans())):
+                break
+            node = child
+        action = draw(st.sampled_from(["replace", "delete", "add"]))
+        if action == "add" or not keys:
+            value = draw(_json_values)
+            if isinstance(node, dict):
+                node[draw(st.sampled_from(_KEYS) | st.text(max_size=4))] = value
+            else:
+                node.insert(draw(st.integers(0, len(node))), value)
+        elif action == "delete":
+            del node[key]
+        else:
+            node[key] = draw(_json_values)
+    text = json.dumps(doc)
+    if draw(st.integers(0, 9)) == 0:
+        text = text[:draw(st.integers(0, len(text)))]
+    return text
+
+
+def _assert_clean_exit(args, stdin=None):
+    code, _, err = invoke(*args, stdin=stdin)
+    assert code in EXIT_CODES, (args, stdin, code, err)
+    assert "Traceback" not in err
+
+
+class TestFuzz:
+    """Random input ends with an exit code of the protocol, never a traceback."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.sampled_from(["reduce", "check", "power"]), _words, _words)
+    def test_words(self, command, first, second):
+        if command == "reduce":
+            _assert_clean_exit(("word", "reduce", first))
+        elif command == "check":
+            _assert_clean_exit(("prim", "check", first))
+        else:
+            _assert_clean_exit(("classify", "power", first, second))
+
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(st.data())
+    def test_diagram_json(self, data):
+        text = _mutated(data.draw, data.draw(st.sampled_from(_DIAGRAMS)))
+        curve = data.draw(st.sampled_from(["alpha", "beta", "gamma"]))
+        _assert_clean_exit(("rr", "trace", "-", curve), stdin=text)
+        _assert_clean_exit(("rr", "validate", "-"), stdin=text)
+
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(st.data())
+    def test_graph_json(self, data):
+        text = _mutated(data.draw, data.draw(st.sampled_from(_GRAPHS)))
+        _assert_clean_exit(("graph", "check", "-"), stdin=text)

@@ -1,4 +1,6 @@
 import itertools
+import math
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,12 +8,22 @@ from hypothesis import given, settings, strategies as st
 from genus2pairs.automorphisms import nielsen_generators
 from genus2pairs.errors import EmptyWordError, SingleGeneratorError
 from genus2pairs.primitivity import (
+    _balanced,
+    _match_form,
     as_proper_power,
     is_basis_pair,
     is_primitive,
     primitive_form,
 )
-from genus2pairs.words import CyclicWord, Word, substitute
+from genus2pairs.rr_diagram import alpha_word_fig3a
+from genus2pairs.words import (
+    CyclicWord,
+    Word,
+    _abelianization,
+    _cyclic_core,
+    _reduce,
+    substitute,
+)
 
 words = st.text(alphabet="AaBb", max_size=12).map(Word)
 
@@ -211,3 +223,128 @@ class TestTrichotomy:
         assert (True, False) in kinds
         assert (False, True) in kinds
         assert (False, False) in kinds
+
+
+def shortening_loop_is_primitive(letters):
+    """Reference: match the two-exponent shape, shorten, repeat.
+
+    After relabeling so that B has exponent 1 throughout and A has
+    exponents {e, e+1}, the substitution B -> A^-e B strictly shortens
+    the cyclic word; a primitive ends at a single letter.
+    """
+    x, y = _abelianization(letters)
+    if math.gcd(x, y) != 1:
+        return False
+    while True:
+        upper = letters.upper()
+        if "A" not in upper or "B" not in upper:
+            return len(letters) == 1
+        match = _match_form(letters)
+        if match is None:
+            return False
+        e, table = match[0], match[-1]
+        relabeled = letters.translate(table)
+        shorten = {ord("B"): "a" * e + "B", ord("b"): "b" + "A" * e}
+        shortened = _cyclic_core(_reduce(relabeled.translate(shorten)))
+        assert len(shortened) < len(letters)
+        letters = shortened
+
+
+def balanced_and_aperiodic(cycle, symbol):
+    """Definition: cyclic factors of each length hold the same number of
+    ``symbol``, give or take one, and no rotation but the trivial one
+    fixes the word."""
+    n = len(cycle)
+    doubled = cycle + cycle
+    if doubled.find(cycle, 1) != n:
+        return False
+    for length in range(1, n):
+        counts = [doubled[i:i + length].count(symbol) for i in range(n)]
+        if max(counts) - min(counts) > 1:
+            return False
+    return True
+
+
+def nielsen_images(count, seed):
+    """Images of A under random Nielsen walks, 100 to 2,000 letters long."""
+    rng = random.Random(seed)
+    moves = nielsen_generators()
+    out = []
+    while len(out) < count:
+        target = rng.randint(100, 2000)
+        w = Word("A")
+        for _ in range(500):
+            if len(w) >= target:
+                break
+            image = rng.choice(moves)(w)
+            if len(image) <= 2000:
+                w = image
+        if len(CyclicWord(w)) >= 100:
+            out.append(CyclicWord(w))
+    return out
+
+
+def perturbations(word, rng):
+    """One-letter edits: swap two neighbours, replace, delete, insert."""
+    letters = word.letters
+    n = len(letters)
+    i = rng.randrange(n)
+    j = (i + 1) % n
+    swapped = list(letters)
+    swapped[i], swapped[j] = swapped[j], swapped[i]
+    edits = [
+        "".join(swapped),
+        letters[:i] + rng.choice("AaBb") + letters[i + 1:],
+        letters[:i] + letters[i + 1:],
+        letters[:i] + rng.choice("AaBb") + letters[i:],
+    ]
+    return [CyclicWord(edit) for edit in edits]
+
+
+class TestLongWordAgreement:
+    """The Euclid descent against the shortening loop it replaced."""
+
+    FIG3A_GRID = [
+        (a, b, p, eps)
+        for total in range(2, 21)
+        for a in range(1, total)
+        for b in [total - a]
+        if math.gcd(a, b) == 1
+        for p in range(2, 9)
+        for eps in (1, -1)
+        if min(p, p + eps) > 1
+    ]
+
+    def test_fig3a_grid(self):
+        assert len(self.FIG3A_GRID) == 1651
+        for params in self.FIG3A_GRID:
+            w = alpha_word_fig3a(*params)
+            assert is_primitive(w) is True
+            assert shortening_loop_is_primitive(w.letters) is True
+
+    def test_fig3a_grid_neighbours(self):
+        rng = random.Random(3)
+        for params in self.FIG3A_GRID[::7]:
+            for edit in perturbations(alpha_word_fig3a(*params), rng):
+                assert is_primitive(edit) == shortening_loop_is_primitive(edit.letters)
+
+    def test_nielsen_images(self):
+        rng = random.Random(5)
+        verdicts = []
+        for w in nielsen_images(40, seed=17):
+            assert 100 <= len(w) <= 2000
+            assert is_primitive(w) is True
+            assert shortening_loop_is_primitive(w.letters) is True
+            for edit in perturbations(w, rng):
+                verdict = is_primitive(edit)
+                assert verdict == shortening_loop_is_primitive(edit.letters), edit
+                verdicts.append(verdict)
+        assert True in verdicts and False in verdicts
+
+    @pytest.mark.parametrize("n", range(1, 12))
+    def test_descent_decides_balance(self, n):
+        for symbols in itertools.product("|.", repeat=n):
+            cycle = "".join(symbols)
+            if "|" in cycle:
+                expected = balanced_and_aperiodic(cycle, "|")
+                assert _balanced(cycle, "|") == expected, cycle

@@ -366,3 +366,107 @@ class TestJson:
         d1 = build_canonical(CanonicalParams.fig3a(3, 2, 2, 1))
         d2 = build_canonical(CanonicalParams.fig3a(3, 2, 2, 1))
         assert diagram_to_json(d1) == diagram_to_json(d2)
+
+
+def _fig1a_with(**curves):
+    d = build_canonical(CanonicalParams.fig1a())
+    d.curves = {**d.curves, **curves}
+    return d
+
+
+def _fig3a_broken():
+    # fig3a(3, 2, 2, 1) with two return arcs swapped and one B traversal reversed.
+    d = build_canonical(CanonicalParams.fig3a(3, 2, 2, 1))
+    steps = list(d.curves["alpha"])
+    steps[3], steps[7] = steps[7], steps[3]
+    steps[6] = TraverseStep("B", 0, -1)
+    d.curves = {**d.curves, "alpha": tuple(steps)}
+    return d
+
+
+class TestViolationMessages:
+    """Exact ``validate`` output, in order, for diagrams that break the walk."""
+
+    def test_open_curve(self):
+        d = _fig1a_with(alpha=(TraverseStep("A", 0, 1), ArcStep(1, 1)))
+        assert [str(v) for v in validate(d)] == [
+            "OpenCurve: curve alpha breaks between step 0 (exits A.0.+) and "
+            "step 1 (enters B.0.+)",
+            "OpenCurve: curve alpha breaks between step 1 (exits B.0.-) and "
+            "step 0 (enters A.0.-)",
+            "SlotUsage: arc 0 has multiplicity 1 but is used 0 times",
+            "SlotUsage: arc 1 has multiplicity 1 but is used 2 times",
+        ]
+
+    def test_open_curve_fig3a(self):
+        assert [str(v) for v in validate(_fig3a_broken())] == [
+            "OpenCurve: curve alpha breaks between step 3 (exits A.1.-) and "
+            "step 4 (enters A.0.-)",
+            "OpenCurve: curve alpha breaks between step 5 (exits B.0.-) and "
+            "step 6 (enters B.0.+)",
+            "OpenCurve: curve alpha breaks between step 6 (exits B.0.-) and "
+            "step 7 (enters B.0.+)",
+            "OpenCurve: curve alpha breaks between step 7 (exits A.0.-) and "
+            "step 8 (enters A.1.-)",
+        ]
+
+    def test_unknown_band(self):
+        d = _fig1a_with(
+            alpha=(TraverseStep("A", 7, 1), ArcStep(0, 1), TraverseStep("B", 3, -1))
+        )
+        assert [str(v) for v in validate(d)] == [
+            "UnknownStep: curve alpha traverses missing band A.7",
+            "UnknownStep: curve alpha traverses missing band B.3",
+        ]
+
+    def test_unknown_arc(self):
+        d = _fig1a_with(alpha=(TraverseStep("A", 0, 1), ArcStep(9, -1)))
+        assert [str(v) for v in validate(d)] == [
+            "UnknownStep: curve alpha uses missing arc 9",
+        ]
+
+    def test_unknown_step_then_open_curve(self):
+        d = _fig1a_with(
+            alpha=(TraverseStep("A", 0, 1), ArcStep(2, 1), TraverseStep("A", 1, -1)),
+            beta=(TraverseStep("B", 0, 1), ArcStep(0, -1)),
+        )
+        assert [str(v) for v in validate(d)] == [
+            "UnknownStep: curve alpha uses missing arc 2",
+            "UnknownStep: curve alpha traverses missing band A.1",
+            "OpenCurve: curve beta breaks between step 0 (exits B.0.+) and "
+            "step 1 (enters A.0.-)",
+            "OpenCurve: curve beta breaks between step 1 (exits A.0.+) and "
+            "step 0 (enters B.0.-)",
+        ]
+
+    def test_endpoint_balance(self):
+        d = RRDiagram(
+            HandleLabel("A", (Band(2, 1),)),
+            HandleLabel("B", (Band(1, 1),)),
+            arcs=(
+                Arc(Endpoint("A", 0, "+"), Endpoint("A", 0, "-"), 1),
+                Arc(Endpoint("B", 0, "+"), Endpoint("B", 0, "-"), 1),
+            ),
+        )
+        assert [str(v) for v in validate(d)] == [
+            "EndpointBalance: band end A.0.+ carries 1 arc strands but the "
+            "band has multiplicity 2",
+            "EndpointBalance: band end A.0.- carries 1 arc strands but the "
+            "band has multiplicity 2",
+        ]
+
+    def test_unknown_endpoint(self):
+        d = build_canonical(CanonicalParams.fig1a())
+        d.arcs = d.arcs + (Arc(Endpoint("A", 5, "-"), Endpoint("B", 0, "+"), 1),)
+        assert [str(v) for v in validate(d)] == [
+            "UnknownEndpoint: arc 2 touches missing band A.5.-",
+            "SlotUsage: arc 2 has multiplicity 1 but is used 0 times",
+        ]
+
+    def test_slot_usage(self):
+        d = build_canonical(CanonicalParams.fig1a())
+        d.curves = {"beta": d.curves["beta"]}
+        assert [str(v) for v in validate(d)] == [
+            "SlotUsage: band A.0 has multiplicity 1 but is traversed 0 times",
+            "SlotUsage: arc 0 has multiplicity 1 but is used 0 times",
+        ]
