@@ -54,14 +54,14 @@ def _compose_images(
     )
 
 
-def _descend(u: str, v: str, trace: bool) -> tuple[str, str, list[int]] | None:
+def _descend(u: str, v: str) -> tuple[str, str, list[int]] | None:
     """Nielsen-descend an image pair to total length two.
 
     Strictly shortening moves are preferred; when none applies, states
     of equal total length are explored breadth-first until one admits a
-    shortening move.  Returns the terminal pair and, when tracing, the
-    move indices taken; None when the descent stalls, which happens
-    exactly for non-bases.
+    shortening move.  Returns the terminal pair and the move indices
+    taken; None when the descent stalls, which happens exactly for
+    non-bases.
     """
     moves: list[int] = []
     total = len(u) + len(v)
@@ -84,13 +84,12 @@ def _descend(u: str, v: str, trace: bool) -> tuple[str, str, list[int]] | None:
                     queue.append(candidate)
         if found is None:
             return None
-        if trace:
-            segment = []
-            node = found
-            while node != start:
-                node, index = parents[node]
-                segment.append(index)
-            moves.extend(reversed(segment))
+        segment = []
+        node = found
+        while node != start:
+            node, index = parents[node]
+            segment.append(index)
+        moves.extend(reversed(segment))
         u, v = found
         total = len(u) + len(v)
     if len(u) == 1 and len(v) == 1 and u.upper() != v.upper():
@@ -98,17 +97,10 @@ def _descend(u: str, v: str, trace: bool) -> tuple[str, str, list[int]] | None:
     return None
 
 
-_LETTER_PAIRS = [
-    (x, y) for x in "AaBb" for y in "AaBb" if x.upper() != y.upper()
-]
-
-
 def _invert_letter_pair(u: str, v: str) -> tuple[str, str]:
-    """Inverse of the automorphism A -> u, B -> v with single letters."""
-    for candidate in _LETTER_PAIRS:
-        if _compose_images((u, v), candidate) == ("A", "B"):
-            return candidate
-    raise AssertionError(f"no inverse letter pair for ({u!r}, {v!r})")
+    """Inverse of A -> u, B -> v for single letters: their preimages."""
+    preimage = {u: "A", _invert(u): "a", v: "B", _invert(v): "b"}
+    return preimage["A"], preimage["B"]
 
 
 @dataclass(frozen=True)
@@ -158,7 +150,7 @@ class Automorphism:
         return ((xa, xb), (ya, yb))
 
     def inverse(self) -> "Automorphism":
-        descent = _descend(self.image_a.letters, self.image_b.letters, trace=True)
+        descent = _descend(self.image_a.letters, self.image_b.letters)
         if descent is None:  # unreachable: construction checked the basis
             raise NotInvertibleError(f"{self} is not invertible")
         final_u, final_v, moves = descent

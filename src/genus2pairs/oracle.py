@@ -83,4 +83,4 @@ def brute_is_basis(u: Word, v: Word, budget: int = 32) -> bool:
     xv, yv = v.abelianization()
     if abs(xu * yv - xv * yu) != 1:
         return False
-    return _descend(u.letters, v.letters, trace=False) is not None
+    return _descend(u.letters, v.letters) is not None

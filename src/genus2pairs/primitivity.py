@@ -10,7 +10,8 @@ balanced: any two cyclic factors of one length hold the same number of
 each letter, give or take one.  Such a word is a conjugate of a signed
 Christoffel word.  ``is_primitive`` decides balance by Euclid's
 algorithm on the gaps between occurrences of the rarer letter, using
-string splits and joins only.  The closure enumeration in ``oracle`` is
+string splits and joins only; ``primitive_form`` reads its exponent
+shape off the same gaps.  The closure enumeration in ``oracle`` is
 kept as an independent certificate.
 """
 
@@ -29,28 +30,7 @@ from .words import (
     _invert,
     _join,
     _power_period,
-    _runs,
 )
-
-# The eight letter relabelings: invert A and/or B, then optionally swap
-# the two generators.  Tried in this fixed order; first match wins.
-_RELABELINGS: list[tuple[bool, bool, bool, dict[int, str]]] = []
-for _swapped in (False, True):
-    for _inv_a in (False, True):
-        for _inv_b in (False, True):
-            _images = {}
-            for _ch in "Aa":
-                _out = _ch.swapcase() if _inv_a else _ch
-                if _swapped:
-                    _out = {"A": "B", "a": "b", "B": "A", "b": "a"}[_out]
-                _images[ord(_ch)] = _out
-            for _ch in "Bb":
-                _out = _ch.swapcase() if _inv_b else _ch
-                if _swapped:
-                    _out = {"A": "B", "a": "b", "B": "A", "b": "a"}[_out]
-                _images[ord(_ch)] = _out
-            _RELABELINGS.append((_inv_a, _inv_b, _swapped, _images))
-del _swapped, _inv_a, _inv_b, _images, _ch, _out
 
 
 @dataclass(frozen=True)
@@ -82,34 +62,6 @@ class PrimitiveForm:
         return out
 
 
-def _match_form(letters: str) -> tuple[int, int, int, bool, bool, bool, dict] | None:
-    """First relabeling under which the exponent shape appears.
-
-    Returns (e, low_count, high_count, inv_a, inv_b, swapped, table),
-    where in the relabeled word every B has exponent exactly 1 and every
-    A run has length e or e + 1 with e > 0.
-    """
-    runs = [(ord(ch), count) for ch, count in _runs(letters)]
-    for inv_a, inv_b, swapped, table in _RELABELINGS:
-        a_counts = []
-        for code, count in runs:
-            image = table[code]
-            if image == "A":
-                a_counts.append(count)
-            elif image != "B" or count != 1:
-                break
-        else:
-            if not a_counts:
-                continue
-            low = min(a_counts)
-            if max(a_counts) - low > 1:
-                continue
-            low_count = a_counts.count(low)
-            high_count = a_counts.count(low + 1)
-            return low, low_count, high_count, inv_a, inv_b, swapped, table
-    return None
-
-
 def primitive_form(word: CyclicWord) -> PrimitiveForm | None:
     """Exponent shape of a cyclic word using both generators, if any.
 
@@ -122,19 +74,37 @@ def primitive_form(word: CyclicWord) -> PrimitiveForm | None:
         raise SingleGeneratorError(
             f"{word} uses a single generator; the shape needs both"
         )
-    match = _match_form(word.letters)
-    if match is None:
+    letters = word.letters
+    x, y = _abelianization(letters)
+    if len(letters) != abs(x) + abs(y):
+        return None  # both signs of one generator occur
+    gaps = _gaps(letters, _rare_letter(x, y))
+    low = min(gaps)
+    if max(gaps) > low + 1:  # gaps average at least 1, so none is 0
         return None
-    e, low_count, high_count, inv_a, inv_b, swapped, _ = match
+    swapped = abs(y) > abs(x)
     return PrimitiveForm(
         base_generator="B" if swapped else "A",
-        exponent=e,
-        low_count=low_count,
-        high_count=high_count,
-        inverted_a=inv_a,
-        inverted_b=inv_b,
+        exponent=low,
+        low_count=gaps.count(low),
+        high_count=len(gaps) - gaps.count(low),
+        inverted_a="a" in letters,
+        inverted_b="b" in letters,
         swapped=swapped,
     )
+
+
+def _rare_letter(x: int, y: int) -> str:
+    """The letter of the generator that occurs less often, B on a tie."""
+    if abs(y) <= abs(x):
+        return "B" if y > 0 else "b"
+    return "A" if x > 0 else "a"
+
+
+def _gaps(cycle: str, separator: str) -> list[int]:
+    """Numbers of other symbols between consecutive separators, cyclically."""
+    start = cycle.index(separator)
+    return list(map(len, (cycle[start + 1:] + cycle[:start]).split(separator)))
 
 
 def _balanced(cycle: str, separator: str) -> bool:
@@ -151,8 +121,7 @@ def _balanced(cycle: str, separator: str) -> bool:
     (True, False)
     """
     while True:
-        start = cycle.index(separator)
-        gaps = list(map(len, (cycle[start + 1:] + cycle[:start]).split(separator)))
+        gaps = _gaps(cycle, separator)
         if len(gaps) == 1:
             return True
         low = min(gaps)
@@ -175,11 +144,7 @@ def _is_primitive_core(letters: str) -> bool:
         return len(letters) == 1
     if len(letters) != abs(x) + abs(y):
         return False  # both signs of one generator occur
-    if abs(y) <= abs(x):
-        rare = "B" if y > 0 else "b"
-    else:
-        rare = "A" if x > 0 else "a"
-    return _balanced(letters, rare)
+    return _balanced(letters, _rare_letter(x, y))
 
 
 def is_primitive(word: Word | CyclicWord) -> bool:

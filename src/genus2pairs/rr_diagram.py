@@ -24,8 +24,13 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import NamedTuple, Union
 
-from .errors import InvalidParamsError, UnknownCurveError, UnlabeledBandError
-from .words import CyclicWord
+from .errors import (
+    BudgetExceededError,
+    InvalidParamsError,
+    UnknownCurveError,
+    UnlabeledBandError,
+)
+from .words import _MAX_EXPANDED_LETTERS, CyclicWord
 
 HANDLES = ("A", "B")
 ENDS = ("+", "-")
@@ -276,14 +281,8 @@ def validate(diagram: RRDiagram) -> list[Violation]:
         walk = list(map(step_ends.get, steps))
         if None in walk:
             for step in steps:
-                if step in step_ends:
-                    continue
-                if isinstance(step, TraverseStep):
-                    message = (f"curve {curve} traverses missing band "
-                               f"{step.handle}.{step.band}")
-                else:
-                    message = f"curve {curve} uses missing arc {step.arc}"
-                out.append(Violation("UnknownStep", message))
+                if step not in step_ends:
+                    out.append(Violation("UnknownStep", _missing_step(curve, step)))
             continue
         entries, exits = zip(*walk)
         following = entries[1:] + entries[:1]
@@ -332,36 +331,46 @@ def validate(diagram: RRDiagram) -> list[Violation]:
     return out
 
 
+def _missing_step(curve: str, step: Step) -> str:
+    """The message for a walk step whose band or arc does not exist."""
+    if isinstance(step, TraverseStep):
+        return f"curve {curve} traverses missing band {step.handle}.{step.band}"
+    return f"curve {curve} uses missing arc {step.arc}"
+
+
 def trace_word(diagram: RRDiagram, curve: str) -> CyclicWord:
-    """The conjugacy class in F(A, B) spelled by a curve's walk."""
+    """The conjugacy class in F(A, B) spelled by a curve's walk.
+
+    Raises BudgetExceededError before writing out more than
+    ``words._MAX_EXPANDED_LETTERS`` letters, as ``parse_letters`` does.
+    """
     if curve not in diagram.curves:
         raise UnknownCurveError(
             f"no curve {curve!r}; have {sorted(diagram.curves)}"
         )
     letters: list[str] = []
+    counts: list[int] = []
     for step in diagram.curves[curve]:
-        if not isinstance(step, TraverseStep):
-            if step.arc >= len(diagram.arcs):
-                raise InvalidParamsError(
-                    f"curve {curve} uses missing arc {step.arc}"
-                )
+        if isinstance(step, TraverseStep):
+            bands = diagram.handle(step.handle).bands
+            if step.band < len(bands):
+                disk = bands[step.band].disk
+                if disk is None:
+                    raise UnlabeledBandError(
+                        f"band {step.handle}.{step.band} has no disk label"
+                    )
+                exponent = disk * step.direction
+                letters.append(step.handle if exponent > 0 else step.handle.lower())
+                counts.append(abs(exponent))
+                continue
+        elif step.arc < len(diagram.arcs):
             continue
-        bands = diagram.handle(step.handle).bands
-        if step.band >= len(bands):
-            raise InvalidParamsError(
-                f"curve {curve} traverses missing band {step.handle}.{step.band}"
-            )
-        disk = bands[step.band].disk
-        if disk is None:
-            raise UnlabeledBandError(
-                f"band {step.handle}.{step.band} has no disk label"
-            )
-        exponent = disk * step.direction
-        if exponent:
-            letters.append(
-                (step.handle if exponent > 0 else step.handle.lower()) * abs(exponent)
-            )
-    return CyclicWord("".join(letters))
+        raise InvalidParamsError(_missing_step(curve, step))
+    if sum(counts) > _MAX_EXPANDED_LETTERS:
+        raise BudgetExceededError(
+            f"curve {curve} spells more than {_MAX_EXPANDED_LETTERS:,} letters"
+        )
+    return CyclicWord("".join(map(str.__mul__, letters, counts)))
 
 
 @dataclass(frozen=True)
@@ -483,52 +492,41 @@ def build_canonical(params: CanonicalParams) -> RRDiagram:
         }
         return RRDiagram(handle_a, handle_b, arcs, curves)
     if params.variant == "fig2a":
-        handle_a = HandleLabel("A", (Band(1, params.p, params.q),))
-        handle_b = HandleLabel("B", (Band(2, 1),))
-        arcs = (
-            Arc(Endpoint("A", 0, "+"), Endpoint("B", 0, "-"), 1),
-            Arc(Endpoint("B", 0, "+"), Endpoint("A", 0, "-"), 1),
-            Arc(Endpoint("B", 0, "+"), Endpoint("B", 0, "-"), 1),
-        )
-        curves = {
-            "alpha": (
-                TraverseStep("A", 0, 1),
-                ArcStep(0, 1),
-                TraverseStep("B", 0, 1),
-                ArcStep(1, 1),
-            ),
-            "beta": (TraverseStep("B", 0, 1), ArcStep(2, 1)),
-        }
-        return RRDiagram(handle_a, handle_b, arcs, curves)
+        return _one_b_band((Band(1, params.p, params.q),), [0])
     a, b, p, eps = params.a, params.b, params.p, params.eps
-    handle_a = HandleLabel("A", (Band(a, p, -eps), Band(b, p + eps, -eps)))
-    handle_b = HandleLabel("B", (Band(a + b + 1, 1),))
-    arcs = (
-        Arc(Endpoint("A", 0, "+"), Endpoint("B", 0, "-"), a),
-        Arc(Endpoint("A", 1, "+"), Endpoint("B", 0, "-"), b),
-        Arc(Endpoint("B", 0, "+"), Endpoint("A", 0, "-"), a),
-        Arc(Endpoint("B", 0, "+"), Endpoint("A", 1, "-"), b),
-        Arc(Endpoint("B", 0, "+"), Endpoint("B", 0, "-"), 1),
+    return _one_b_band(
+        (Band(a, p, -eps), Band(b, p + eps, -eps)),
+        [0 if m == p else 1 for m in _balanced_exponents(a, b, p, eps)],
     )
-    exponents = _balanced_exponents(a, b, p, eps)
+
+
+def _one_b_band(bands: tuple[Band, ...], passes: list[int]) -> RRDiagram:
+    """fig2a and fig3a: the A bands, joined through the one band of B.
+
+    Pass i of alpha crosses A in band ``passes[i]``, then crosses B;
+    beta is the disk dual of B.  Arcs run from each A band to B, from B
+    back to each A band, then from B to itself.
+    """
+    n = len(bands)
+    mults = [band.multiplicity for band in bands]
+    b_in, b_out = Endpoint("B", 0, "-"), Endpoint("B", 0, "+")
+    arcs = (
+        *(Arc(Endpoint("A", i, "+"), b_in, m) for i, m in enumerate(mults)),
+        *(Arc(b_out, Endpoint("A", i, "-"), m) for i, m in enumerate(mults)),
+        Arc(b_out, b_in, 1),
+    )
     alpha: list[Step] = []
-    j = len(exponents)
-    for i, m in enumerate(exponents):
-        band = 0 if m == p else 1
-        band_next = 0 if exponents[(i + 1) % j] == p else 1
-        alpha.extend(
-            (
-                TraverseStep("A", band, 1),
-                ArcStep(band, 1),
-                TraverseStep("B", 0, 1),
-                ArcStep(2 + band_next, 1),
-            )
+    for band, band_next in zip(passes, passes[1:] + passes[:1]):
+        alpha += (
+            TraverseStep("A", band, 1), ArcStep(band, 1),
+            TraverseStep("B", 0, 1), ArcStep(n + band_next, 1),
         )
     curves = {
         "alpha": tuple(alpha),
-        "beta": (TraverseStep("B", 0, 1), ArcStep(4, 1)),
+        "beta": (TraverseStep("B", 0, 1), ArcStep(2 * n, 1)),
     }
-    return RRDiagram(handle_a, handle_b, arcs, curves)
+    handle_b = HandleLabel("B", (Band(len(passes) + 1, 1),))
+    return RRDiagram(HandleLabel("A", bands), handle_b, arcs, curves)
 
 
 def diagram_to_json(diagram: RRDiagram) -> dict:

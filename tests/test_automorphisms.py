@@ -106,6 +106,16 @@ class TestComposeInvert:
         f = Automorphism(Word("AB"), Word("B"))
         assert f.inverse() == Automorphism(Word("Ab"), Word("B"))
 
+    @pytest.mark.parametrize(
+        "u, v", [(x, y) for x in "AaBb" for y in "AaBb" if x.upper() != y.upper()]
+    )
+    def test_letter_pair_inverse(self, u, v):
+        f = Automorphism(Word(u), Word(v))
+        g = f.inverse()
+        assert compose(f, g) == Automorphism.identity()
+        assert compose(g, f) == Automorphism.identity()
+        assert (g(Word(u)), g(Word(v))) == (Word("A"), Word("B"))
+
     @given(automorphisms, automorphisms, words)
     def test_compose_agrees_with_application_order(self, f, g, w):
         assert compose(f, g)(w) == f(g(w))

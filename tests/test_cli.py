@@ -296,6 +296,17 @@ class TestExitProtocol:
         assert (code, out) == (65, "")
         assert err.startswith("InvalidParams:")
 
+    def test_trace_letter_budget(self):
+        # The walk would spell 12,000,003 letters, past the 10,000,000
+        # that caret exponents may ask for.
+        _, built, _ = invoke("rr", "build", "--variant", "fig2a",
+                             "--p", "3", "--q", "1")
+        data = json.loads(built)
+        data["handles"]["A"]["bands"][0]["label"] = [12000001, 1]
+        code, out, err = invoke("rr", "trace", "-", "alpha", stdin=json.dumps(data))
+        assert (code, out) == (65, "")
+        assert err.startswith("BudgetExceeded:")
+
 
     @pytest.mark.parametrize("command", ["trace", "validate"])
     @pytest.mark.parametrize(

@@ -8,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 from genus2pairs.automorphisms import nielsen_generators
 from genus2pairs.errors import EmptyWordError, SingleGeneratorError
 from genus2pairs.primitivity import (
+    PrimitiveForm,
     _balanced,
-    _match_form,
     as_proper_power,
     is_basis_pair,
     is_primitive,
@@ -22,6 +22,7 @@ from genus2pairs.words import (
     _abelianization,
     _cyclic_core,
     _reduce,
+    _runs,
     substitute,
 )
 
@@ -43,6 +44,41 @@ def cyclic_classes(max_len):
                 if ch != prefix[-1].swapcase():
                     stack.append(prefix + (ch,))
     return out
+
+
+def relabelings():
+    """The eight relabelings (invert A, invert B, then swap), in order."""
+    for swapped, inv_a, inv_b in itertools.product((False, True), repeat=3):
+        images = {}
+        for ch in "AaBb":
+            inverted = inv_a if ch in "Aa" else inv_b
+            out = ch.swapcase() if inverted else ch
+            if swapped:
+                out = out.translate(str.maketrans("AaBb", "BbAa"))
+            images[ord(ch)] = out
+        yield inv_a, inv_b, swapped, images
+
+
+def reference_match_form(letters):
+    """Reference: the first relabeling under which the shape appears.
+
+    Returns (e, low_count, high_count, inv_a, inv_b, swapped, table),
+    where in the relabeled word every B has exponent exactly 1 and every
+    A run has length e or e + 1 with e > 0.
+    """
+    runs = [(ord(ch), count) for ch, count in _runs(letters)]
+    for inv_a, inv_b, swapped, table in relabelings():
+        images = [(table[code], count) for code, count in runs]
+        if any(image not in "AB" or (image == "B" and count != 1)
+               for image, count in images):
+            continue
+        a_counts = [count for image, count in images if image == "A"]
+        if not a_counts or max(a_counts) - min(a_counts) > 1:
+            continue
+        low = min(a_counts)
+        return (low, a_counts.count(low), a_counts.count(low + 1),
+                inv_a, inv_b, swapped, table)
+    return None
 
 
 class TestPrimitiveForm:
@@ -81,6 +117,17 @@ class TestPrimitiveForm:
     def test_single_generator_raises(self):
         with pytest.raises(SingleGeneratorError):
             primitive_form(CyclicWord("AAA"))
+
+    def test_agrees_with_relabeling_search(self):
+        classes = [w for w in cyclic_classes(10) if len(w.generators()) == 2]
+        forms = 0
+        for w in classes:
+            match = reference_match_form(w.letters)
+            expected = None if match is None else PrimitiveForm(
+                "B" if match[5] else "A", *match[:6])
+            assert primitive_form(w) == expected, w
+            forms += expected is not None
+        assert (len(classes), forms) == (9478, 188)
 
 
 class TestIsPrimitive:
@@ -239,7 +286,7 @@ def shortening_loop_is_primitive(letters):
         upper = letters.upper()
         if "A" not in upper or "B" not in upper:
             return len(letters) == 1
-        match = _match_form(letters)
+        match = reference_match_form(letters)
         if match is None:
             return False
         e, table = match[0], match[-1]

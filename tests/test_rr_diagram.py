@@ -362,6 +362,50 @@ class TestJson:
         with pytest.raises(InvalidParamsError):
             diagram_from_json(data)
 
+    # Exact builder output, arc order and step tokens included.
+    PINNED = [
+        (CanonicalParams.fig2a(5, 2), {
+            "handles": {"A": {"bands": [{"mult": 1, "label": [5, 2]}]},
+                        "B": {"bands": [{"mult": 2, "label": [1, None]}]}},
+            "arcs": [{"from": "A.0.+", "to": "B.0.-", "mult": 1},
+                     {"from": "B.0.+", "to": "A.0.-", "mult": 1},
+                     {"from": "B.0.+", "to": "B.0.-", "mult": 1}],
+            "curves": {"alpha": ["A.0.+", "arc:0.+", "B.0.+", "arc:1.+"],
+                       "beta": ["B.0.+", "arc:2.+"]},
+        }),
+        (CanonicalParams.fig2a(-3, 1), {
+            "handles": {"A": {"bands": [{"mult": 1, "label": [-3, 1]}]},
+                        "B": {"bands": [{"mult": 2, "label": [1, None]}]}},
+            "arcs": [{"from": "A.0.+", "to": "B.0.-", "mult": 1},
+                     {"from": "B.0.+", "to": "A.0.-", "mult": 1},
+                     {"from": "B.0.+", "to": "B.0.-", "mult": 1}],
+            "curves": {"alpha": ["A.0.+", "arc:0.+", "B.0.+", "arc:1.+"],
+                       "beta": ["B.0.+", "arc:2.+"]},
+        }),
+        (CanonicalParams.fig3a(3, 2, 2, 1), {
+            "handles": {"A": {"bands": [{"mult": 3, "label": [2, -1]},
+                                        {"mult": 2, "label": [3, -1]}]},
+                        "B": {"bands": [{"mult": 6, "label": [1, None]}]}},
+            "arcs": [{"from": "A.0.+", "to": "B.0.-", "mult": 3},
+                     {"from": "A.1.+", "to": "B.0.-", "mult": 2},
+                     {"from": "B.0.+", "to": "A.0.-", "mult": 3},
+                     {"from": "B.0.+", "to": "A.1.-", "mult": 2},
+                     {"from": "B.0.+", "to": "B.0.-", "mult": 1}],
+            "curves": {
+                "alpha": ["A.0.+", "arc:0.+", "B.0.+", "arc:2.+",
+                          "A.0.+", "arc:0.+", "B.0.+", "arc:3.+",
+                          "A.1.+", "arc:1.+", "B.0.+", "arc:2.+",
+                          "A.0.+", "arc:0.+", "B.0.+", "arc:3.+",
+                          "A.1.+", "arc:1.+", "B.0.+", "arc:2.+"],
+                "beta": ["B.0.+", "arc:4.+"],
+            },
+        }),
+    ]
+
+    @pytest.mark.parametrize("params, expected", PINNED)
+    def test_pinned_builder_output(self, params, expected):
+        assert diagram_to_json(build_canonical(params)) == expected
+
     def test_deterministic_serialization(self):
         d1 = build_canonical(CanonicalParams.fig3a(3, 2, 2, 1))
         d2 = build_canonical(CanonicalParams.fig3a(3, 2, 2, 1))
