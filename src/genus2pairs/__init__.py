@@ -6,127 +6,58 @@ intersection graphs, and the classification of disjoint primitive and
 proper-power pairs.
 """
 
-from .automorphisms import Automorphism, compose, nielsen_generators
-from .classifier import (
-    PairClass,
-    PowerPairOutcome,
-    ProductStructure,
-    classify,
-    classify_power_pair,
-    longitude_pair,
-    separating_word,
-)
-from .errors import (
-    BetaNotProperPowerError,
-    BudgetExceededError,
-    DomainError,
-    EmptyWordError,
-    InvalidParamsError,
-    InvalidWordError,
-    NotInvertibleError,
-    ParityViolationError,
-    SingleGeneratorError,
-    UnknownCurveError,
-    UnlabeledBandError,
-)
-from .heegaard import (
-    HGraph,
-    cut_vertices,
-    is_connected,
-    matches_fig5c,
-    minimality_witness,
-)
-from .oracle import brute_is_basis, enumerate_primitives
-from .primitivity import (
-    PrimitiveForm,
-    as_proper_power,
-    is_basis_pair,
-    is_primitive,
-    primitive_form,
-)
-from .rr_diagram import (
-    Arc,
-    ArcStep,
-    Band,
-    CanonicalParams,
-    Endpoint,
-    HandleLabel,
-    RRDiagram,
-    TraverseStep,
-    Violation,
-    alpha_word_fig3a,
-    build_canonical,
-    diagram_from_json,
-    diagram_to_json,
-    trace_word,
-    validate,
-)
-from .words import (
-    CyclicWord,
-    Syllable,
-    Word,
-    cyclic_equal,
-    cyclic_reduce,
-    parse_letters,
-    substitute,
-)
+from importlib import import_module as _import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Arc",
-    "ArcStep",
-    "Automorphism",
-    "Band",
-    "BetaNotProperPowerError",
-    "BudgetExceededError",
-    "CanonicalParams",
-    "CyclicWord",
-    "DomainError",
-    "EmptyWordError",
-    "Endpoint",
-    "HGraph",
-    "HandleLabel",
-    "InvalidParamsError",
-    "InvalidWordError",
-    "NotInvertibleError",
-    "PairClass",
-    "ParityViolationError",
-    "PowerPairOutcome",
-    "PrimitiveForm",
-    "ProductStructure",
-    "RRDiagram",
-    "SingleGeneratorError",
-    "Syllable",
-    "TraverseStep",
-    "UnknownCurveError",
-    "UnlabeledBandError",
-    "Violation",
-    "Word",
-    "alpha_word_fig3a",
-    "as_proper_power",
-    "brute_is_basis",
-    "build_canonical",
-    "classify",
-    "classify_power_pair",
-    "compose",
-    "cut_vertices",
-    "cyclic_equal",
-    "cyclic_reduce",
-    "diagram_from_json",
-    "diagram_to_json",
-    "enumerate_primitives",
-    "is_basis_pair",
-    "is_connected",
-    "is_primitive",
-    "longitude_pair",
-    "matches_fig5c",
-    "minimality_witness",
-    "nielsen_generators",
-    "parse_letters",
-    "primitive_form",
-    "separating_word",
-    "substitute",
-    "trace_word",
-    "validate",
-]
+# The public names of each module.  A module is imported on the first
+# access to one of its names (PEP 562), so importing one submodule,
+# such as the command line, does not import the others.
+_EXPORTS = {
+    "automorphisms": ("Automorphism", "compose", "nielsen_generators"),
+    "classifier": (
+        "PairClass", "PowerPairOutcome", "ProductStructure", "classify",
+        "classify_power_pair", "longitude_pair", "separating_word",
+    ),
+    "errors": (
+        "BetaNotProperPowerError", "BudgetExceededError", "DomainError",
+        "EmptyWordError", "InvalidParamsError", "InvalidWordError",
+        "NotInvertibleError", "ParityViolationError", "SingleGeneratorError",
+        "UnknownCurveError", "UnlabeledBandError",
+    ),
+    "heegaard": (
+        "HGraph", "cut_vertices", "is_connected", "matches_fig5c",
+        "minimality_witness",
+    ),
+    "oracle": ("brute_is_basis", "enumerate_primitives"),
+    "primitivity": (
+        "PrimitiveForm", "as_proper_power", "is_basis_pair", "is_primitive",
+        "primitive_form",
+    ),
+    "rr_diagram": (
+        "Arc", "ArcStep", "Band", "CanonicalParams", "Endpoint", "HandleLabel",
+        "RRDiagram", "TraverseStep", "Violation", "alpha_word_fig3a",
+        "build_canonical", "diagram_from_json", "diagram_to_json",
+        "trace_word", "validate",
+    ),
+    "words": (
+        "CyclicWord", "Syllable", "Word", "cyclic_equal", "cyclic_reduce",
+        "parse_letters", "substitute",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(_import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

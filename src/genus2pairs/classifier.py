@@ -33,7 +33,7 @@ from .errors import (
 )
 from .primitivity import as_proper_power
 from .rr_diagram import CanonicalParams
-from .words import CyclicWord, Word, cyclic_equal
+from .words import CyclicWord, Word, check_budget, cyclic_equal
 
 
 class ProductStructure(enum.Enum):
@@ -79,6 +79,7 @@ def separating_word(n: int) -> CyclicWord:
     >>> str(separating_word(0))
     '1'
     """
+    check_budget(2 * abs(n) + 2, "letters in the separating word")
     if n >= 0:
         letters = "A" * n + "B" + "a" * n + "b"
     else:

@@ -25,12 +25,11 @@ from dataclasses import dataclass, field
 from typing import NamedTuple, Union
 
 from .errors import (
-    BudgetExceededError,
     InvalidParamsError,
     UnknownCurveError,
     UnlabeledBandError,
 )
-from .words import _MAX_EXPANDED_LETTERS, CyclicWord
+from .words import CyclicWord, check_budget
 
 HANDLES = ("A", "B")
 ENDS = ("+", "-")
@@ -341,8 +340,8 @@ def _missing_step(curve: str, step: Step) -> str:
 def trace_word(diagram: RRDiagram, curve: str) -> CyclicWord:
     """The conjugacy class in F(A, B) spelled by a curve's walk.
 
-    Raises BudgetExceededError before writing out more than
-    ``words._MAX_EXPANDED_LETTERS`` letters, as ``parse_letters`` does.
+    Raises BudgetExceededError before writing out more letters than
+    ``words.check_budget`` allows.
     """
     if curve not in diagram.curves:
         raise UnknownCurveError(
@@ -366,10 +365,7 @@ def trace_word(diagram: RRDiagram, curve: str) -> CyclicWord:
         elif step.arc < len(diagram.arcs):
             continue
         raise InvalidParamsError(_missing_step(curve, step))
-    if sum(counts) > _MAX_EXPANDED_LETTERS:
-        raise BudgetExceededError(
-            f"curve {curve} spells more than {_MAX_EXPANDED_LETTERS:,} letters"
-        )
+    check_budget(sum(counts), f"letters in curve {curve}")
     return CyclicWord("".join(map(str.__mul__, letters, counts)))
 
 
@@ -472,6 +468,7 @@ def _balanced_exponents(a: int, b: int, p: int, eps: int) -> list[int]:
 def alpha_word_fig3a(a: int, b: int, p: int, eps: int) -> CyclicWord:
     """The conjugacy class carried by the fig3a alpha curve."""
     CanonicalParams.fig3a(a, b, p, eps).validated()
+    check_budget(a * p + b * (p + eps) + a + b, "letters in the fig3a alpha word")
     exponents = _balanced_exponents(a, b, p, eps)
     return CyclicWord("".join("A" * m + "B" for m in exponents))
 
@@ -494,6 +491,7 @@ def build_canonical(params: CanonicalParams) -> RRDiagram:
     if params.variant == "fig2a":
         return _one_b_band((Band(1, params.p, params.q),), [0])
     a, b, p, eps = params.a, params.b, params.p, params.eps
+    check_budget(4 * (a + b), "steps in the fig3a alpha walk")
     return _one_b_band(
         (Band(a, p, -eps), Band(b, p + eps, -eps)),
         [0 if m == p else 1 for m in _balanced_exponents(a, b, p, eps)],

@@ -30,11 +30,26 @@ _ORDER_KEY = str.maketrans("AaBb", "0123")
 
 _TOKEN = re.compile(r"([AaBb])(?:\^(-?\d+))?\s*")
 _DELETE_LETTERS = str.maketrans("", "", LETTERS)
-# Caret exponents may ask for at most this many letters in one word.
+# No word, walk or diagram is written out past this many letters or steps.
 _MAX_EXPANDED_LETTERS = 10_000_000
 # Words up to this length take the run-start rotation path, which has
 # less fixed cost than the run-length path used above it.
 _SHORT_ROTATION = 64
+
+
+def check_budget(size: int, what: str) -> None:
+    """Raise BudgetExceededError when ``size`` is past the budget.
+
+    Every writer computes the size of its output from its parameters and
+    calls this before building anything; ``what`` names the unit.
+
+    >>> check_budget(10_000_001, "letters in a power of a word")
+    Traceback (most recent call last):
+    ...
+    genus2pairs.errors.BudgetExceededError: more than 10,000,000 letters in a power of a word
+    """
+    if size > _MAX_EXPANDED_LETTERS:
+        raise BudgetExceededError(f"more than {_MAX_EXPANDED_LETTERS:,} {what}")
 
 
 def parse_letters(text: str) -> str:
@@ -73,10 +88,7 @@ def parse_letters(text: str) -> str:
                 count = int(digits or "0")
         tokens.append((letter, count))
         pos = m.end()
-    if sum(count for _, count in tokens) > _MAX_EXPANDED_LETTERS:
-        raise BudgetExceededError(
-            f"caret exponents ask for more than {_MAX_EXPANDED_LETTERS:,} letters"
-        )
+    check_budget(sum(count for _, count in tokens), "letters in caret exponents")
     return "".join(letter * count for letter, count in tokens)
 
 
@@ -280,6 +292,7 @@ class Word:
         return Word._raw(_invert(self._letters))
 
     def __pow__(self, n: int) -> "Word":
+        check_budget(len(self._letters) * abs(n), "letters in a power of a word")
         base = self._letters if n >= 0 else _invert(self._letters)
         return Word._raw(_reduce(base * abs(n)))
 

@@ -1,11 +1,17 @@
 import copy
 import io
 import json
+import os
+import re
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import genus2pairs
+from genus2pairs import words
 from genus2pairs.cli import main
 from genus2pairs.rr_diagram import CanonicalParams, build_canonical, diagram_to_json
 
@@ -25,6 +31,81 @@ def invoke(*args, stdin=None):
     finally:
         sys.stdout, sys.stderr, sys.stdin = old_out, old_err, old_in
     return code, out.getvalue(), err.getvalue()
+
+
+def run_module(*args, argv0=None):
+    """Run ``python -m genus2pairs.cli`` (or, with argv0, a console script)."""
+    src = str(Path(genus2pairs.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    if argv0 is None:
+        command = [sys.executable, "-m", "genus2pairs.cli", *args]
+    else:
+        script = f"import sys; sys.argv[0] = {argv0!r}; from genus2pairs.cli import main; main()"
+        command = [sys.executable, "-c", script, *args]
+    return subprocess.run(command, capture_output=True, text=True, env=env, timeout=60)
+
+
+# Every --help screen, as `$ <command>` followed by its stdout.
+_TRANSCRIPT = (Path(__file__).parent / "cli_help.txt").read_text()
+HELP_SCREENS = dict(zip(*[iter(re.split(r"^\$ (.*)\n", _TRANSCRIPT, flags=re.M)[1:])] * 2))
+
+
+class TestGolden:
+    """Byte-identical stdout of the help screens and of the README calls."""
+
+    def test_transcript_has_every_screen(self):
+        # The root, 6 groups and 13 commands.
+        assert len(HELP_SCREENS) == 20
+
+    @pytest.mark.parametrize("command", sorted(HELP_SCREENS))
+    def test_help_screen(self, command):
+        args = command.split()[3:]
+        result = run_module(*args)
+        assert (result.returncode, result.stdout, result.stderr) == (
+            0, HELP_SCREENS[command], "")
+
+    def test_console_script_name(self):
+        result = run_module("--help", argv0="/usr/local/bin/genus2pairs")
+        expected = HELP_SCREENS["python -m genus2pairs.cli --help"]
+        assert result.returncode == 0
+        assert result.stdout == expected.replace("python -m genus2pairs.cli", "genus2pairs")
+
+    FIG2A = ("--variant", "fig2a", "--p", "5", "--q", "2")
+    README_CALLS = [
+        (("word", "reduce", "A^2 B A^-1"), 0, "AABa\n"),
+        (("prim", "check", "AABAAAB"), 0, "primitive\n"),
+        (("prim", "check", "AABAAB"), 1, "proper-power 2 of AAB\n"),
+        (("prim", "basis", "AB", "B"), 0, "basis\n"),
+        (("prim", "basis", "AB", "BA"), 1, "not-basis\n"),
+        (("rr", "build", *FIG2A, "--out", "d.json"), 0, ""),
+        (("rr", "trace", "d.json", "alpha"), 0, "AAAAAB\n"),
+        (("rr", "validate", "d.json"), 0, "ok\n"),
+        (("classify", *FIG2A), 0,
+         '{\n  "type_I": true,\n  "type_II": false,\n  "separated": false,\n'
+         '  "structure": "TwistedProduct",\n  "separating_word": "AABaab",\n'
+         '  "twist": 2\n}\n'),
+        (("classify", "power", "A", "B^2"), 0, "separated\n"),
+        (("graph", "check", "g.json"), 0,
+         "parity: ok\nalpha: connected=yes cut-vertices=A+,A-\n"
+         "beta: connected=yes cut-vertices=none\nfig5c: c=3 s=2\nminimality: ok\n"),
+        (("oracle", "primitives", "--max-len", "2"), 0,
+         "A\na\nB\nb\nAB\nAb\naB\nab\n"),
+    ]
+
+    @pytest.mark.parametrize("args, code, stdout", README_CALLS,
+                             ids=[" ".join(c[0][:2]) for c in README_CALLS])
+    def test_readme_call(self, tmp_path, monkeypatch, args, code, stdout):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "g.json").write_text(json.dumps(
+            {"alpha": {"A+A-": 3, "A+B-": 2, "A-B+": 2}, "beta": {"B+B-": 1}}))
+        assert invoke("rr", "build", *self.FIG2A, "--out", "d.json") == (0, "", "")
+        assert invoke(*args)[:2] == (code, stdout)
+
+    def test_build_out_file_bytes(self, tmp_path):
+        out_file = tmp_path / "d.json"
+        invoke("rr", "build", *self.FIG2A, "--out", str(out_file))
+        assert out_file.read_text() == invoke("rr", "build", *self.FIG2A)[1]
 
 
 class TestWordCommands:
@@ -212,12 +293,26 @@ class TestExitProtocol:
             ("rr", "build", "--variant", "fig8"),
             ("rr", "build", "--variant", "fig2a", "--p", "x", "--q", "1"),
             ("no-such-command",),
+            (),
+            ("word",),
+            ("word", "reduce", "A", "extra"),
+            ("oracle", "primitives", "--max-len"),
+            ("word", "mul"),
+            ("graph", "dot", "nope.json"),
+            ("rr", "build", "--variant", "fig1a", "--out", "."),
         ],
     )
     def test_usage_errors_exit_64(self, args):
         code, _, err = invoke(*args)
         assert code == 64
         assert err
+
+    @pytest.mark.parametrize("spelling, value", [("-5", -5), ("+5", 5), ("05", 5)])
+    def test_signed_int_options(self, spelling, value):
+        for args in (("--p", spelling), (f"--p={spelling}",)):
+            code, out, err = invoke("rr", "build", "--variant", "fig2a", *args, "--q", "2")
+            assert code == 0, err
+            assert json.loads(out)["handles"]["A"]["bands"][0]["label"] == [value, 2]
 
     @pytest.mark.parametrize(
         "args, name",
@@ -241,6 +336,19 @@ class TestExitProtocol:
         code, _, err = invoke(*args)
         assert code == 65
         assert err.startswith(name + ":")
+
+    def test_out_path_that_cannot_be_written(self, tmp_path):
+        out = tmp_path / "no-such-dir" / "d.json"
+        code, out_text, err = invoke("rr", "build", "--variant", "fig1a", "--out", str(out))
+        assert (code, out_text) == (64, "")
+        assert "Traceback" not in err
+
+    def test_json_file_not_utf8(self, tmp_path):
+        path = tmp_path / "g.json"
+        path.write_bytes(b"\xff\xfe{")
+        code, out, err = invoke("graph", "check", str(path))
+        assert (code, out) == (65, "")
+        assert err.startswith("InvalidParams:")
 
     def test_malformed_json_stdin(self):
         code, _, err = invoke("graph", "check", "-", stdin="{broken")
@@ -307,6 +415,22 @@ class TestExitProtocol:
         assert (code, out) == (65, "")
         assert err.startswith("BudgetExceeded:")
 
+    def test_classify_letter_budget(self):
+        # The fig2a twist is 10,000,000, so the separating word would
+        # have 20,000,002 letters.
+        code, out, err = invoke("classify", "--variant", "fig2a",
+                                "--p", "20000001", "--q", "2")
+        assert (code, out) == (65, "")
+        assert err.startswith("BudgetExceeded:")
+
+    def test_build_step_budget(self, monkeypatch):
+        # A fig3a alpha walk has 4 (a + b) steps.
+        monkeypatch.setattr(words, "_MAX_EXPANDED_LETTERS", 100)
+        fig3a = ("rr", "build", "--variant", "fig3a", "--p", "2", "--eps", "1")
+        assert invoke(*fig3a, "--a", "24", "--b", "1")[0] == 0
+        code, out, err = invoke(*fig3a, "--a", "25", "--b", "1")
+        assert (code, out) == (65, "")
+        assert err.startswith("BudgetExceeded:")
 
     @pytest.mark.parametrize("command", ["trace", "validate"])
     @pytest.mark.parametrize(

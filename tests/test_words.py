@@ -6,8 +6,14 @@ from unittest import mock
 import pytest
 from hypothesis import assume, given, strategies as st
 
+from genus2pairs.classifier import separating_word
 from genus2pairs.errors import BudgetExceededError, EmptyWordError, InvalidWordError
-from genus2pairs.rr_diagram import alpha_word_fig3a
+from genus2pairs.rr_diagram import (
+    CanonicalParams,
+    alpha_word_fig3a,
+    build_canonical,
+    trace_word,
+)
 from genus2pairs.words import (
     CyclicWord,
     Syllable,
@@ -230,6 +236,37 @@ class TestKernelFastPaths:
             for ch, run in groupby(s)
         )
         assert parse_letters(caret) == s
+
+
+_FIG2A_3_1 = build_canonical(CanonicalParams.fig2a(3, 1))
+
+
+class TestBudget:
+    """Every writer checks the size of its output against one budget first."""
+
+    @pytest.mark.parametrize(
+        "write, size",
+        [
+            (lambda: parse_letters("A^5 B^3"), 8),
+            (lambda: Word("AB") ** -4, 8),
+            (lambda: separating_word(-3), 8),
+            (lambda: alpha_word_fig3a(1, 1, 2, 1), 7),
+            (lambda: build_canonical(CanonicalParams.fig3a(1, 1, 2, 1)), 8),
+            (lambda: trace_word(_FIG2A_3_1, "alpha"), 4),
+        ],
+        ids=["parse_letters", "pow", "separating_word", "alpha_word_fig3a",
+             "build_canonical", "trace_word"],
+    )
+    def test_boundary(self, monkeypatch, write, size):
+        monkeypatch.setattr("genus2pairs.words._MAX_EXPANDED_LETTERS", size)
+        write()
+        monkeypatch.setattr("genus2pairs.words._MAX_EXPANDED_LETTERS", size - 1)
+        with pytest.raises(BudgetExceededError):
+            write()
+
+    def test_pow_checked_before_expansion(self):
+        with pytest.raises(BudgetExceededError):
+            Word("AB") ** 5_000_001
 
 
 class TestWord:
