@@ -4,35 +4,28 @@ An endomorphism A -> image_a, B -> image_b is an automorphism exactly
 when the image pair is a basis, which the constructor enforces.  The
 inverse is computed by Nielsen descent: elementary replacements of one
 image by its product with the other are applied to the image pair until
-only single letters remain, recording each move, and the recorded moves
-are composed with the inverse of the terminal letter permutation.
+only single letters remain, recording each move.  The recorded moves
+are then replayed on (A, B), and the inverse of the terminal letter
+map is applied to the result.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterator
 
 from .errors import NotInvertibleError
-from .words import CyclicWord, Word, _invert, _join, _substitute
-
-# Images of the elementary Nielsen moves on an image pair (u, v), as
-# automorphisms to precompose with, in the order _pair_moves yields them.
-_PAIR_MOVES: tuple[tuple[str, str], ...] = (
-    ("AB", "B"),
-    ("Ab", "B"),
-    ("BA", "B"),
-    ("bA", "B"),
-    ("A", "BA"),
-    ("A", "Ba"),
-    ("A", "AB"),
-    ("A", "aB"),
-)
+from .words import CyclicWord, Word, _invert, _join, substitute
 
 
 def _pair_moves(u: str, v: str) -> Iterator[tuple[str, str]]:
-    """The eight moves applied to (u, v), in _PAIR_MOVES order."""
+    """The eight elementary Nielsen moves applied to (u, v), in a fixed order.
+
+    Applied to the image pair of a map f, move i gives the images of
+    f composed on the right with the move applied to (A, B).
+    """
     inv_u, inv_v = _invert(u), _invert(v)
     yield _join(u, v), v
     yield _join(u, inv_v), v
@@ -42,16 +35,6 @@ def _pair_moves(u: str, v: str) -> Iterator[tuple[str, str]]:
     yield u, _join(v, inv_u)
     yield u, _join(u, v)
     yield u, _join(inv_u, v)
-
-
-def _compose_images(
-    outer: tuple[str, str], inner: tuple[str, str]
-) -> tuple[str, str]:
-    """Images of the composite "outer after inner"."""
-    return (
-        _substitute(inner[0], outer[0], outer[1]),
-        _substitute(inner[1], outer[0], outer[1]),
-    )
 
 
 def _descend(u: str, v: str) -> tuple[str, str, list[int]] | None:
@@ -97,12 +80,6 @@ def _descend(u: str, v: str) -> tuple[str, str, list[int]] | None:
     return None
 
 
-def _invert_letter_pair(u: str, v: str) -> tuple[str, str]:
-    """Inverse of A -> u, B -> v for single letters: their preimages."""
-    preimage = {u: "A", _invert(u): "a", v: "B", _invert(v): "b"}
-    return preimage["A"], preimage["B"]
-
-
 @dataclass(frozen=True)
 class Automorphism:
     """An automorphism A -> image_a, B -> image_b.
@@ -132,9 +109,7 @@ class Automorphism:
         return cls(Word("A"), Word("B"))
 
     def __call__(self, word: Word) -> Word:
-        return Word._raw(
-            _substitute(word.letters, self.image_a.letters, self.image_b.letters)
-        )
+        return substitute(word, self.image_a, self.image_b)
 
     def image_of_class(self, word: CyclicWord) -> CyclicWord:
         """Image of a conjugacy class."""
@@ -154,11 +129,14 @@ class Automorphism:
         if descent is None:  # unreachable: construction checked the basis
             raise NotInvertibleError(f"{self} is not invertible")
         final_u, final_v, moves = descent
-        images = ("A", "B")
+        u, v = "A", "B"
         for index in moves:
-            images = _compose_images(images, _PAIR_MOVES[index])
-        images = _compose_images(images, _invert_letter_pair(final_u, final_v))
-        return Automorphism(Word._raw(images[0]), Word._raw(images[1]))
+            u, v = next(islice(_pair_moves(u, v), index, None))
+        # self * (u, v) sends A to final_u and B to final_v, so the inverse
+        # of self sends those letters to u and v.
+        image = {final_u: u, final_v: v}
+        image.update({_invert(x): _invert(w) for x, w in image.items()})
+        return Automorphism(Word._raw(image["A"]), Word._raw(image["B"]))
 
     def to_json(self) -> dict:
         return {"A": str(self.image_a), "B": str(self.image_b)}

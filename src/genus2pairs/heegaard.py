@@ -117,12 +117,14 @@ class HGraph:
         }
         return graph
 
+    def _ordered_edges(self, curve: str) -> list[tuple[tuple[str, str], int]]:
+        """The curve's edges in ``SLOTS`` order, the order of all output."""
+        edges = self._edges[curve]
+        return [(slot, edges[slot]) for slot in SLOTS if slot in edges]
+
     def to_json(self) -> dict:
         return {
-            curve: {v + w: mult for (v, w), mult in sorted(
-                self._edges[curve].items(),
-                key=lambda item: (_VERTEX_INDEX[item[0][0]], _VERTEX_INDEX[item[0][1]]),
-            )}
+            curve: {v + w: mult for (v, w), mult in self._ordered_edges(curve)}
             for curve in self.curves
         }
 
@@ -144,11 +146,7 @@ class HGraph:
             lines.append(f'  "{v}";')
         styles = {"alpha": "solid", "beta": "dashed"}
         for curve in self.curves:
-            items = sorted(
-                self._edges[curve].items(),
-                key=lambda item: (_VERTEX_INDEX[item[0][0]], _VERTEX_INDEX[item[0][1]]),
-            )
-            for (v, w), mult in items:
+            for (v, w), mult in self._ordered_edges(curve):
                 lines.append(
                     f'  "{v}" -- "{w}" [label="{curve}:{mult}", '
                     f"style={styles[curve]}];"

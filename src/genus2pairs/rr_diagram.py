@@ -221,9 +221,8 @@ def validate(diagram: RRDiagram) -> list[Violation]:
     _check_handle(diagram.handle_a, out)
     _check_handle(diagram.handle_b, out)
 
-    def band_exists(endpoint: Endpoint) -> bool:
-        return endpoint.band < len(diagram.handle(endpoint.handle).bands)
-
+    # Band counts by handle name; a name outside HANDLES has no bands.
+    band_count = {name: len(diagram.handle(name).bands) for name in HANDLES}
     arcs_ok = True
     for i, arc in enumerate(diagram.arcs):
         if arc.multiplicity < 1:
@@ -231,7 +230,7 @@ def validate(diagram: RRDiagram) -> list[Violation]:
                 Violation("BadMultiplicity", f"arc {i} has multiplicity {arc.multiplicity}")
             )
         for endpoint in (arc.start, arc.stop):
-            if not band_exists(endpoint):
+            if endpoint.band >= band_count.get(endpoint.handle, 0):
                 arcs_ok = False
                 out.append(
                     Violation(
@@ -240,14 +239,14 @@ def validate(diagram: RRDiagram) -> list[Violation]:
                     )
                 )
     if arcs_ok:
-        attached: dict[Endpoint, int] = {}
+        attached: Counter[Endpoint] = Counter()
         for arc in diagram.arcs:
-            attached[arc.start] = attached.get(arc.start, 0) + arc.multiplicity
-            attached[arc.stop] = attached.get(arc.stop, 0) + arc.multiplicity
+            attached[arc.start] += arc.multiplicity
+            attached[arc.stop] += arc.multiplicity
         for name in HANDLES:
             for i, band in enumerate(diagram.handle(name).bands):
                 for end in ENDS:
-                    got = attached.get(Endpoint(name, i, end), 0)
+                    got = attached[Endpoint(name, i, end)]
                     if got != band.multiplicity:
                         out.append(
                             Violation(
@@ -260,12 +259,11 @@ def validate(diagram: RRDiagram) -> list[Violation]:
 
     # Walks compare plain (handle, band, end) tuples, which equal the
     # arcs' Endpoints; the ends of each distinct step are found once.
-    band_count = {name: len(diagram.handle(name).bands) for name in HANDLES}
     arc_orders = [((arc.start, arc.stop), (arc.stop, arc.start)) for arc in diagram.arcs]
     step_ends: dict[Step, tuple[tuple, tuple]] = {}
     for step in set().union(*diagram.curves.values()):
         if isinstance(step, TraverseStep):
-            if step.handle not in band_count or step.band >= band_count[step.handle]:
+            if step.band >= band_count.get(step.handle, 0):
                 continue
             plus, minus = (step.handle, step.band, "+"), (step.handle, step.band, "-")
             step_ends[step] = (minus, plus) if step.direction > 0 else (plus, minus)
@@ -298,17 +296,10 @@ def validate(diagram: RRDiagram) -> list[Violation]:
                         f"(enters {Endpoint(*entry_next).token()})",
                     )
                 )
-    band_usage: Counter[tuple[str, int]] = Counter()
-    arc_usage: Counter[int] = Counter()
-    for step, used in usage.items():
-        if isinstance(step, TraverseStep):
-            band_usage[step.handle, step.band] += used
-        else:
-            arc_usage[step.arc] += used
     if not any(v.kind in ("UnknownStep", "EmptyCurve") for v in out) and diagram.curves:
         for name in HANDLES:
             for i, band in enumerate(diagram.handle(name).bands):
-                used = band_usage.get((name, i), 0)
+                used = usage[TraverseStep(name, i, 1)] + usage[TraverseStep(name, i, -1)]
                 if used != band.multiplicity:
                     out.append(
                         Violation(
@@ -318,7 +309,7 @@ def validate(diagram: RRDiagram) -> list[Violation]:
                         )
                     )
         for i, arc in enumerate(diagram.arcs):
-            used = arc_usage.get(i, 0)
+            used = usage[ArcStep(i, 1)] + usage[ArcStep(i, -1)]
             if used != arc.multiplicity:
                 out.append(
                     Violation(

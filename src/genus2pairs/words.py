@@ -24,7 +24,7 @@ GENERATORS = "AB"
 LETTERS = "AaBb"
 
 _INV = {"A": "a", "a": "A", "B": "b", "b": "B"}
-_INVERT_TABLE = str.maketrans("AaBb", "aAbB")
+_INVERT_TABLE = str.maketrans(_INV)
 # Letter order A < a < B < b used for canonical rotations.
 _ORDER_KEY = str.maketrans("AaBb", "0123")
 
@@ -239,9 +239,7 @@ def _abelianization(letters: str) -> tuple[int, int]:
 
 def _coerce_letters(source) -> str:
     """Raw letters from a string, Word, CyclicWord, or letter iterable."""
-    if isinstance(source, Word):
-        return source.letters
-    if isinstance(source, CyclicWord):
+    if isinstance(source, _LetterString):
         return source.letters
     if isinstance(source, str):
         return parse_letters(source)
@@ -259,7 +257,47 @@ class Syllable(NamedTuple):
     exponent: int
 
 
-class Word:
+class _LetterString:
+    """The value protocol of Word and CyclicWord: an immutable letter
+    string, equal and hashed only within its own type."""
+
+    __slots__ = ("_letters",)
+
+    @classmethod
+    def _raw(cls, letters: str):
+        """Wrap letters already in the subclass's normal form."""
+        w = cls.__new__(cls)
+        w._letters = letters
+        return w
+
+    @property
+    def letters(self) -> str:
+        return self._letters
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, type(self)) and self._letters == other._letters
+
+    def __hash__(self) -> int:
+        return hash((type(self).__name__, self._letters))
+
+    def __len__(self) -> int:
+        return len(self._letters)
+
+    def __bool__(self) -> bool:
+        return bool(self._letters)
+
+    def __str__(self) -> str:
+        return self._letters or "1"
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({str(self)!r})"
+
+    def abelianization(self) -> tuple[int, int]:
+        """Signed exponent sums (sum over A, sum over B)."""
+        return _abelianization(self._letters)
+
+
+class Word(_LetterString):
     """A freely reduced word.  The constructor reduces its input.
 
     >>> Word("AAb") * Word("BA")
@@ -270,20 +308,10 @@ class Word:
     '1'
     """
 
-    __slots__ = ("_letters",)
+    __slots__ = ()
 
     def __init__(self, source="") -> None:
         self._letters = _reduce(_coerce_letters(source))
-
-    @classmethod
-    def _raw(cls, reduced: str) -> "Word":
-        w = cls.__new__(cls)
-        w._letters = reduced
-        return w
-
-    @property
-    def letters(self) -> str:
-        return self._letters
 
     def __mul__(self, other: "Word") -> "Word":
         return Word._raw(_join(self._letters, other.letters))
@@ -293,36 +321,16 @@ class Word:
 
     def __pow__(self, n: int) -> "Word":
         check_budget(len(self._letters) * abs(n), "letters in a power of a word")
+        if not n or not self._letters:
+            return Word._raw("")
         base = self._letters if n >= 0 else _invert(self._letters)
         return Word._raw(_reduce(base * abs(n)))
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Word) and self._letters == other._letters
-
-    def __hash__(self) -> int:
-        return hash(("Word", self._letters))
-
-    def __len__(self) -> int:
-        return len(self._letters)
-
-    def __bool__(self) -> bool:
-        return bool(self._letters)
 
     def __iter__(self) -> Iterator[str]:
         return iter(self._letters)
 
-    def __str__(self) -> str:
-        return self._letters or "1"
 
-    def __repr__(self) -> str:
-        return f"Word({str(self)!r})"
-
-    def abelianization(self) -> tuple[int, int]:
-        """Signed exponent sums (sum over A, sum over B)."""
-        return _abelianization(self._letters)
-
-
-class CyclicWord:
+class CyclicWord(_LetterString):
     """A conjugacy class: cyclically reduced, canonically rotated.
 
     >>> CyclicWord("BAAB") == CyclicWord("ABBA")
@@ -331,21 +339,11 @@ class CyclicWord:
     'AB'
     """
 
-    __slots__ = ("_letters",)
+    __slots__ = ()
 
     def __init__(self, source="") -> None:
         core = _cyclic_core(_reduce(_coerce_letters(source)))
         self._letters = _canonical_rotation(core)
-
-    @classmethod
-    def _raw(cls, canonical: str) -> "CyclicWord":
-        w = cls.__new__(cls)
-        w._letters = canonical
-        return w
-
-    @property
-    def letters(self) -> str:
-        return self._letters
 
     def to_word(self) -> Word:
         """The canonical rotation as an ordinary word."""
@@ -353,27 +351,6 @@ class CyclicWord:
 
     def __invert__(self) -> "CyclicWord":
         return CyclicWord._raw(_canonical_rotation(_invert(self._letters)))
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, CyclicWord) and self._letters == other._letters
-
-    def __hash__(self) -> int:
-        return hash(("CyclicWord", self._letters))
-
-    def __len__(self) -> int:
-        return len(self._letters)
-
-    def __bool__(self) -> bool:
-        return bool(self._letters)
-
-    def __str__(self) -> str:
-        return self._letters or "1"
-
-    def __repr__(self) -> str:
-        return f"CyclicWord({str(self)!r})"
-
-    def abelianization(self) -> tuple[int, int]:
-        return _abelianization(self._letters)
 
     def rotations(self) -> Iterator[str]:
         s = self._letters
@@ -432,14 +409,6 @@ def cyclic_equal(u: CyclicWord, v: CyclicWord, up_to_inversion: bool = False) ->
 
 def substitute(word: Word, image_a: Word, image_b: Word) -> Word:
     """Image of ``word`` under A -> image_a, B -> image_b."""
-    return Word._raw(_substitute(word.letters, image_a.letters, image_b.letters))
-
-
-def _substitute(letters: str, image_a: str, image_b: str) -> str:
-    table = {
-        ord("A"): image_a,
-        ord("a"): _invert(image_a),
-        ord("B"): image_b,
-        ord("b"): _invert(image_b),
-    }
-    return _reduce(letters.translate(table))
+    a, b = image_a.letters, image_b.letters
+    table = {ord("A"): a, ord("a"): _invert(a), ord("B"): b, ord("b"): _invert(b)}
+    return Word._raw(_reduce(word.letters.translate(table)))

@@ -3,7 +3,13 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from genus2pairs.automorphisms import Automorphism, compose, nielsen_generators
+from genus2pairs.automorphisms import (
+    Automorphism,
+    _descend,
+    _pair_moves,
+    compose,
+    nielsen_generators,
+)
 from genus2pairs.errors import NotInvertibleError
 from genus2pairs.primitivity import is_basis_pair, is_primitive
 from genus2pairs.words import CyclicWord, Word, cyclic_equal, cyclic_reduce
@@ -20,6 +26,23 @@ def from_moves(moves):
 
 
 automorphisms = move_lists.map(from_moves)
+
+
+def walk_automorphisms(count, seed):
+    """Automorphisms reached by seeded random walks on the Nielsen generators."""
+    rng = random.Random(seed)
+    gens = nielsen_generators()
+    out = []
+    for _ in range(count):
+        f = Automorphism.identity()
+        for _ in range(rng.randrange(4, 20)):
+            f = compose(f, rng.choice(gens))
+        out.append(f)
+    return out
+
+
+def move(u, v, index):
+    return list(_pair_moves(u, v))[index]
 
 
 class TestConstruction:
@@ -133,6 +156,32 @@ class TestComposeInvert:
             for _ in range(rng.randrange(12)):
                 f = compose(f, rng.choice(gens))
             assert compose(f, f.inverse()) == Automorphism.identity()
+
+
+class TestMoveIndices:
+    """``inverse`` replays ``_descend``'s move indices through ``_pair_moves``."""
+
+    @staticmethod
+    def check_replay(f):
+        u, v = f.image_a.letters, f.image_b.letters
+        final_u, final_v, moves = _descend(u, v)
+        for index in moves:
+            u, v = move(u, v, index)
+        assert (u, v) == (final_u, final_v)
+
+    @given(automorphisms)
+    def test_replay_reaches_terminal_pair(self, f):
+        self.check_replay(f)
+
+    def test_replay_on_walk_bases(self):
+        for f in walk_automorphisms(40, seed=29):
+            self.check_replay(f)
+
+    @given(automorphisms, st.integers(0, 7))
+    def test_move_composes_on_the_right(self, f, index):
+        g = Automorphism(*move("A", "B", index))
+        images = move(f.image_a.letters, f.image_b.letters, index)
+        assert compose(f, g) == Automorphism(*images)
 
 
 class TestNielsenGenerators:

@@ -507,6 +507,15 @@ class TestViolationMessages:
             "SlotUsage: arc 2 has multiplicity 1 but is used 0 times",
         ]
 
+    def test_unknown_handle_endpoint(self):
+        d = build_canonical(CanonicalParams.fig1a())
+        d.arcs = (Arc(Endpoint("C", 0, "+"), Endpoint("A", 0, "-"), 1),) + d.arcs[1:]
+        assert [str(v) for v in validate(d)] == [
+            "UnknownEndpoint: arc 0 touches missing band C.0.+",
+            "OpenCurve: curve alpha breaks between step 0 (exits A.0.+) and "
+            "step 1 (enters C.0.+)",
+        ]
+
     def test_slot_usage(self):
         d = build_canonical(CanonicalParams.fig1a())
         d.curves = {"beta": d.curves["beta"]}

@@ -73,3 +73,43 @@ def test_unknown_attribute():
     with pytest.raises(AttributeError):
         genus2pairs.no_such_name
     assert not hasattr(genus2pairs, "_no_such_private_name")
+
+
+def _private_definitions(tree):
+    """Module-level ``_private`` names with the node that defines each."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, ast.Assign):
+            names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names = [node.target.id]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                yield name, node
+
+
+def test_no_dead_private_names():
+    """Every module-level private name is used outside its own definition."""
+    trees = {path: ast.parse(path.read_text(), filename=str(path)) for path in MODULES}
+    uses = []
+    for path, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                uses.append((node.id, path, node.lineno))
+            elif isinstance(node, ast.Attribute):
+                uses.append((node.attr, path, node.lineno))
+            elif isinstance(node, ast.alias):
+                uses.append((node.name, path, node.lineno))
+    dead = [
+        f"{path.name}:{name}"
+        for path, tree in trees.items()
+        for name, node in _private_definitions(tree)
+        if not any(
+            used == name and not (where == path and node.lineno <= line <= node.end_lineno)
+            for used, where, line in uses
+        )
+    ]
+    assert not dead

@@ -268,6 +268,34 @@ class TestBudget:
         with pytest.raises(BudgetExceededError):
             Word("AB") ** 5_000_001
 
+    def test_pow_of_empty_word_past_index_size(self):
+        assert Word() ** 10**30 == Word()
+        assert Word() ** -(10**30) == Word()
+        with pytest.raises(BudgetExceededError):
+            Word("A") ** 10**30
+
+
+class TestValueProtocol:
+    """Word and CyclicWord share one value protocol but never compare equal."""
+
+    def test_types_never_equal(self):
+        assert Word("AB") != CyclicWord("AB")
+        assert CyclicWord("AB") != Word("AB")
+        assert len({Word("AB"), CyclicWord("AB")}) == 2
+
+    @pytest.mark.parametrize("w", [Word("AB"), CyclicWord("AB")], ids=repr)
+    def test_no_instance_dict(self, w):
+        assert not hasattr(w, "__dict__")
+        with pytest.raises(AttributeError):
+            w.extra = 1
+
+    def test_repr_and_hash(self):
+        assert repr(Word("AB")) == "Word('AB')"
+        assert repr(Word()) == "Word('1')"
+        assert repr(CyclicWord("BA")) == "CyclicWord('AB')"
+        assert hash(Word("AB")) == hash(("Word", "AB"))
+        assert hash(CyclicWord("BA")) == hash(("CyclicWord", "AB"))
+
 
 class TestWord:
     def test_reduce_cancelling_pair(self):
