@@ -29,6 +29,7 @@ _VERTEX_INDEX = {v: i for i, v in enumerate(VERTICES)}
 
 SLOTS = tuple(combinations_with_replacement(VERTICES, 2))
 
+
 def _slot(v: str, w: str) -> tuple[str, str]:
     if v not in _VERTEX_INDEX or w not in _VERTEX_INDEX:
         raise ValueError(f"unknown vertex in edge ({v!r}, {w!r})")
@@ -37,13 +38,29 @@ def _slot(v: str, w: str) -> tuple[str, str]:
 
 def _parse_slot_key(key) -> tuple[str, str]:
     if isinstance(key, str):
-        for split in (2, 3):
-            v, w = key[:split], key[split:]
-            if v in _VERTEX_INDEX and w in _VERTEX_INDEX:
-                return _slot(v, w)
-        raise ValueError(f"cannot parse edge key {key!r}")
-    v, w = key
+        v, w = key[:2], key[2:]
+        if v not in _VERTEX_INDEX or w not in _VERTEX_INDEX:
+            raise ValueError(f"cannot parse edge key {key!r}")
+    else:
+        v, w = key
     return _slot(v, w)
+
+
+# The slot of each of the 32 valid edge keys, "v"+"w" and (v, w).  The
+# constructor hands any other key to _parse_slot_key, which raises for
+# every malformed one.
+_SLOT_OF_KEY = {
+    key: _slot(v, w) for v in VERTICES for w in VERTICES for key in (v + w, (v, w))
+}
+
+
+def _degrees(edges: dict[tuple[str, str], int]) -> dict[str, int]:
+    """The degree of every vertex in one pass; a loop counts twice."""
+    degrees = dict.fromkeys(VERTICES, 0)
+    for (v, w), mult in edges.items():
+        degrees[v] += mult
+        degrees[w] += mult
+    return degrees
 
 
 class HGraph:
@@ -65,7 +82,7 @@ class HGraph:
                 if mult < 0:
                     raise ValueError(f"negative multiplicity for {key!r}")
                 if mult:
-                    slot = _parse_slot_key(key)
+                    slot = _SLOT_OF_KEY.get(key) or _parse_slot_key(key)
                     edges[slot] = edges.get(slot, 0) + mult
             self._edges[name] = edges
         if check_parity:
@@ -84,21 +101,15 @@ class HGraph:
         return dict(self._edges.get(curve, {}))
 
     def degree(self, curve: str, v: str) -> int:
-        total = 0
-        for (x, y), mult in self._edges.get(curve, {}).items():
-            if x == v:
-                total += mult
-            if y == v:
-                total += mult
-        return total
+        return _degrees(self._edges.get(curve, {})).get(v, 0)
 
     def parity_violations(self) -> list[str]:
         """Each curve must load A+ like A- and B+ like B-."""
         out = []
-        for curve in self.curves:
+        for curve, edges in self._edges.items():
+            degrees = _degrees(edges)
             for handle in "AB":
-                plus = self.degree(curve, handle + "+")
-                minus = self.degree(curve, handle + "-")
+                plus, minus = degrees[handle + "+"], degrees[handle + "-"]
                 if plus != minus:
                     out.append(
                         f"curve {curve}: deg({handle}+) = {plus} but "
@@ -158,8 +169,8 @@ class HGraph:
         return f"HGraph({self.to_json()!r})"
 
 
-def _support(graph: HGraph, curve: str) -> set[str]:
-    return {v for v in VERTICES if graph.degree(curve, v) > 0}
+def _support(edges: dict[tuple[str, str], int]) -> set[str]:
+    return {v for v, degree in _degrees(edges).items() if degree}
 
 
 def _component_count(vertices: set[str], edges: dict[tuple[str, str], int]) -> int:
@@ -184,18 +195,19 @@ def _component_count(vertices: set[str], edges: dict[tuple[str, str], int]) -> i
 
 def is_connected(graph: HGraph, curve: str) -> bool:
     """Connectivity of the curve's edges on their supporting vertices."""
-    support = _support(graph, curve)
+    edges = graph._edges.get(curve, {})
+    support = _support(edges)
     if len(support) <= 1:
         return True
-    return _component_count(support, graph.edges(curve)) == 1
+    return _component_count(support, edges) == 1
 
 
 def cut_vertices(graph: HGraph, curve: str) -> set[str]:
     """Vertices whose removal disconnects the curve's subgraph."""
-    support = _support(graph, curve)
+    edges = graph._edges.get(curve, {})
+    support = _support(edges)
     if len(support) <= 2:
         return set()
-    edges = graph.edges(curve)
     base = _component_count(support, edges)
     out = set()
     for v in support:
@@ -210,10 +222,8 @@ def cut_vertices(graph: HGraph, curve: str) -> set[str]:
 
 def _beta_is_single_dual(graph: HGraph) -> int | None:
     """Multiplicity s when beta is exactly s B+B- edges, else None."""
-    edges = graph.edges("beta")
-    if set(edges) != {("B+", "B-")}:
-        return None
-    return edges[("B+", "B-")]
+    edges = graph._edges.get("beta", {})
+    return edges.get(("B+", "B-")) if len(edges) == 1 else None
 
 
 # The crossing slot pairs of the fig5c shape.  Swapping A+ with A- or
@@ -250,8 +260,6 @@ def matches_fig5c(graph: HGraph) -> tuple[int, int] | None:
     consist of c >= s edges A+A-, s >= 2 edges A+B- and s edges A-B+
     with nothing else.  Returns (c, s) or None.
     """
-    if set(graph.curves) != {"alpha", "beta"}:
-        return None
     if _beta_is_single_dual(graph) != 1:
         return None
     shape = _fig5c_shape(graph)
@@ -276,11 +284,8 @@ def minimality_witness(graph: HGraph) -> str | None:
         raise ValueError(
             "minimality analysis needs beta drawn as parallel B+B- edges"
         )
-    edges = graph.edges("alpha")
-    crossing_slots = [
-        slot for slot in edges if {slot[0][0], slot[1][0]} == {"A", "B"}
-    ]
-    if edges.get(("A+", "A-"), 0) == 0 and crossing_slots:
+    edges = graph._edges.get("alpha", {})
+    if ("A+", "A-") not in edges and any(v[0] != w[0] for v, w in edges):
         return "BandsumReducesB"
     shape = _fig5c_shape(graph)
     if shape is not None and shape[0] < shape[1]:

@@ -262,6 +262,8 @@ def validate(diagram: RRDiagram) -> list[Violation]:
     arc_orders = [((arc.start, arc.stop), (arc.stop, arc.start)) for arc in diagram.arcs]
     step_ends: dict[Step, tuple[tuple, tuple]] = {}
     for step in set().union(*diagram.curves.values()):
+        if step.direction not in (1, -1):
+            continue
         if isinstance(step, TraverseStep):
             if step.band >= band_count.get(step.handle, 0):
                 continue
@@ -279,7 +281,7 @@ def validate(diagram: RRDiagram) -> list[Violation]:
         if None in walk:
             for step in steps:
                 if step not in step_ends:
-                    out.append(Violation("UnknownStep", _missing_step(curve, step)))
+                    out.append(Violation("UnknownStep", _unknown_step(curve, step)))
             continue
         entries, exits = zip(*walk)
         following = entries[1:] + entries[:1]
@@ -321,8 +323,18 @@ def validate(diagram: RRDiagram) -> list[Violation]:
     return out
 
 
-def _missing_step(curve: str, step: Step) -> str:
-    """The message for a walk step whose band or arc does not exist."""
+def _unknown_step(curve: str, step: Step) -> str:
+    """The message for a walk step whose band or arc does not exist or
+    whose direction is not +1 or -1."""
+    if step.direction not in (1, -1):
+        if isinstance(step, TraverseStep):
+            where = f"band {step.handle}.{step.band}"
+        else:
+            where = f"arc {step.arc}"
+        return (
+            f"curve {curve} steps through {where} in direction "
+            f"{step.direction!r}, not 1 or -1"
+        )
     if isinstance(step, TraverseStep):
         return f"curve {curve} traverses missing band {step.handle}.{step.band}"
     return f"curve {curve} uses missing arc {step.arc}"
@@ -338,11 +350,15 @@ def trace_word(diagram: RRDiagram, curve: str) -> CyclicWord:
         raise UnknownCurveError(
             f"no curve {curve!r}; have {sorted(diagram.curves)}"
         )
+    # Bands by handle name; a name outside HANDLES has none.
+    bands_of = {name: diagram.handle(name).bands for name in HANDLES}
     letters: list[str] = []
     counts: list[int] = []
     for step in diagram.curves[curve]:
+        if step.direction not in (1, -1):
+            raise InvalidParamsError(_unknown_step(curve, step))
         if isinstance(step, TraverseStep):
-            bands = diagram.handle(step.handle).bands
+            bands = bands_of.get(step.handle, ())
             if step.band < len(bands):
                 disk = bands[step.band].disk
                 if disk is None:
@@ -355,7 +371,7 @@ def trace_word(diagram: RRDiagram, curve: str) -> CyclicWord:
                 continue
         elif step.arc < len(diagram.arcs):
             continue
-        raise InvalidParamsError(_missing_step(curve, step))
+        raise InvalidParamsError(_unknown_step(curve, step))
     check_budget(sum(counts), f"letters in curve {curve}")
     return CyclicWord("".join(map(str.__mul__, letters, counts)))
 

@@ -5,6 +5,8 @@ from hypothesis import given, strategies as st
 
 from genus2pairs.errors import ParityViolationError
 from genus2pairs.heegaard import (
+    _degrees,
+    CURVES,
     HGraph,
     SLOTS,
     VERTICES,
@@ -138,6 +140,122 @@ class TestConstruction:
     def test_curves_present(self):
         assert fig5c_graph().curves == ("alpha", "beta")
         assert HGraph(beta={"B+B-": 1}).curves == ("beta",)
+
+
+def single_edge_slot(key):
+    """The one slot an edge key of multiplicity 2 lands in."""
+    (slot,) = HGraph(alpha={key: 2}, check_parity=False).edges("alpha")
+    return slot
+
+
+class TestEdgeKeys:
+    """Every valid key reads as its ``SLOTS`` entry; malformed keys keep
+    their exception type and message."""
+
+    @pytest.mark.parametrize("v", VERTICES)
+    @pytest.mark.parametrize("w", VERTICES)
+    def test_ordered_keys_read_as_their_slot(self, v, w):
+        slot = (v, w) if VERTICES.index(v) <= VERTICES.index(w) else (w, v)
+        assert slot in SLOTS
+        assert single_edge_slot(v + w) == slot
+        assert single_edge_slot((v, w)) == slot
+
+    def test_reversed_string_key(self):
+        assert single_edge_slot("B-A+") == ("A+", "B-")
+
+    @pytest.mark.parametrize("key", ["A+C-", "A+", "", "A+A-B+", "a+A-", " A+A-"])
+    def test_malformed_string_keys(self, key):
+        message = f"cannot parse edge key {key!r}"
+        with pytest.raises(ValueError) as info:
+            HGraph(alpha={key: 1}, check_parity=False)
+        assert str(info.value) == message
+
+    def test_unknown_vertex_in_tuple_key(self):
+        with pytest.raises(ValueError) as info:
+            HGraph(alpha={("A+", "C-"): 1}, check_parity=False)
+        assert str(info.value) == "unknown vertex in edge ('A+', 'C-')"
+
+    @pytest.mark.parametrize("key", [("A+",), ("A+", "B-", "B+")])
+    def test_wrong_length_tuple_keys(self, key):
+        with pytest.raises(ValueError) as unpacking:
+            v, w = key
+        with pytest.raises(ValueError) as info:
+            HGraph(alpha={key: 1}, check_parity=False)
+        assert str(info.value) == str(unpacking.value)
+
+    def test_non_iterable_key(self):
+        with pytest.raises(TypeError):
+            HGraph(alpha={5: 1}, check_parity=False)
+
+    def test_zero_multiplicity_key_is_not_read(self):
+        g = HGraph(alpha={"A+C-": 0, ("A+",): 0}, check_parity=False)
+        assert g.edges("alpha") == {}
+
+    def test_multiplicity_checked_before_key(self):
+        with pytest.raises(ValueError, match="must be an integer"):
+            HGraph(alpha={"A+C-": 1.0}, check_parity=False)
+        with pytest.raises(ValueError, match="negative multiplicity"):
+            HGraph(alpha={"A+C-": -1}, check_parity=False)
+
+    def test_keys_of_one_slot_add_up_in_first_seen_order(self):
+        g = HGraph(
+            alpha={"B-A+": 1, "A+A-": 2, ("A+", "B-"): 3, "A-A+": 4},
+            check_parity=False,
+        )
+        assert list(g.edges("alpha").items()) == [
+            (("A+", "B-"), 4), (("A+", "A-"), 6)
+        ]
+
+    def test_edges_returns_a_copy(self):
+        g = fig5c_graph()
+        g.edges("alpha")[("A+", "A-")] = 99
+        assert g.multiplicity("alpha", "A+", "A-") == 3
+
+
+def reference_degree(graph, curve, v):
+    """One scan of the curve's edges per vertex; a loop counts twice."""
+    return sum(
+        mult * ((x == v) + (y == v)) for (x, y), mult in graph.edges(curve).items()
+    )
+
+
+def reference_parity_violations(graph):
+    """``parity_violations`` from one edge scan per vertex."""
+    out = []
+    for curve in graph.curves:
+        for handle in "AB":
+            plus = reference_degree(graph, curve, handle + "+")
+            minus = reference_degree(graph, curve, handle + "-")
+            if plus != minus:
+                out.append(
+                    f"curve {curve}: deg({handle}+) = {plus} but "
+                    f"deg({handle}-) = {minus}"
+                )
+    return out
+
+
+# Any multiplicities on any slots, loops included, mostly unbalanced.
+curve_edges = st.dictionaries(st.sampled_from(SLOTS), st.integers(0, 9))
+
+
+class TestDegrees:
+    @given(curve_edges, curve_edges)
+    def test_one_pass_matches_degree(self, alpha, beta):
+        g = HGraph(alpha=alpha, beta=beta, check_parity=False)
+        for curve in CURVES:
+            degrees = _degrees(g._edges[curve])
+            assert degrees == {v: reference_degree(g, curve, v) for v in VERTICES}
+            assert degrees == {v: g.degree(curve, v) for v in VERTICES}
+
+    @given(st.one_of(st.none(), curve_edges), st.one_of(st.none(), curve_edges))
+    def test_parity_text_unchanged(self, alpha, beta):
+        g = HGraph(alpha=alpha, beta=beta, check_parity=False)
+        assert g.parity_violations() == reference_parity_violations(g)
+
+    def test_loop_counts_twice(self):
+        assert _degrees({("A+", "A+"): 3, ("A+", "B-"): 1}) == {
+            "A+": 7, "A-": 0, "B+": 0, "B-": 1
+        }
 
 
 class TestConnectivity:

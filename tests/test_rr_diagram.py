@@ -278,6 +278,44 @@ class TestTraceWord:
             d.curves["alpha"] = steps[k:] + steps[:k]
             assert trace_word(d, "alpha") == reference
 
+    def test_unknown_handle(self):
+        d = build_canonical(CanonicalParams.fig2a(3, 1))
+        d.curves["alpha"] = (TraverseStep("C", 0, 1),) + d.curves["alpha"][1:]
+        with pytest.raises(InvalidParamsError) as info:
+            trace_word(d, "alpha")
+        assert str(info.value) == "curve alpha traverses missing band C.0"
+        assert [str(v) for v in validate(d)] == [
+            "UnknownStep: curve alpha traverses missing band C.0"
+        ]
+
+    def test_direction_other_than_one_rejected(self):
+        d = build_canonical(CanonicalParams.fig2a(3, 1))
+        d.curves = {
+            curve: tuple(step._replace(direction=2 * step.direction) for step in steps)
+            for curve, steps in d.curves.items()
+        }
+        with pytest.raises(InvalidParamsError) as info:
+            trace_word(d, "alpha")
+        assert str(info.value) == (
+            "curve alpha steps through band A.0 in direction 2, not 1 or -1"
+        )
+        assert [str(v) for v in validate(d)] == [
+            f"UnknownStep: curve {curve} steps through {where} in direction 2, "
+            "not 1 or -1"
+            for curve, where in [
+                ("alpha", "band A.0"), ("alpha", "arc 0"), ("alpha", "band B.0"),
+                ("alpha", "arc 1"), ("beta", "band B.0"), ("beta", "arc 2"),
+            ]
+        ]
+
+    @pytest.mark.parametrize("step", [TraverseStep("A", 0, 0), ArcStep(0, -3)])
+    def test_trace_and_validate_share_the_direction_message(self, step):
+        d = build_canonical(CanonicalParams.fig1a())
+        d.curves["alpha"] = d.curves["alpha"] + (step,)
+        with pytest.raises(InvalidParamsError) as info:
+            trace_word(d, "alpha")
+        assert f"UnknownStep: {info.value}" in [str(v) for v in validate(d)]
+
 
 class TestAlphaWordFig3a:
     def test_minimal_instance(self):
