@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from itertools import combinations_with_replacement
 
-from .errors import ParityViolationError
+from .errors import InvalidParamsError, ParityViolationError
 
 VERTICES = ("A+", "A-", "B+", "B-")
 CURVES = ("alpha", "beta")
@@ -118,6 +118,15 @@ class HGraph:
         return out
 
     def relabeled(self, mapping: dict[str, str]) -> "HGraph":
+        """The same graph with each vertex v renamed to mapping[v].
+
+        The mapping must be a permutation of ``VERTICES``; one that sends
+        two vertices to one would merge edges.
+        """
+        if set(mapping) != set(VERTICES) or set(mapping.values()) != set(VERTICES):
+            raise InvalidParamsError(
+                f"relabeling must permute the vertices {VERTICES}, got {mapping!r}"
+            )
         graph = HGraph.__new__(HGraph)
         graph._edges = {
             curve: {

@@ -67,7 +67,9 @@ def brute_is_basis(u: Word, v: Word, budget: int = 32) -> bool:
     shortens the pair, exploring equal-length states breadth-first when
     no move shortens directly, until the pair is two distinct single
     letters (a basis) or nothing helps (not a basis); this is
-    ``automorphisms._descend``.  A pair whose abelianization
+    ``automorphisms._descend``, which reads each candidate's length off
+    the cancellation counts at the word boundaries and builds only the
+    candidate it takes.  A pair whose abelianization
     determinant is not +-1 is rejected up front; that is a necessary
     condition for a basis and keeps bulk sweeps fast.
 

@@ -131,7 +131,11 @@ class RRDiagram:
     curves: dict[str, tuple[Step, ...]] = field(default_factory=dict)
 
     def handle(self, name: str) -> HandleLabel:
-        return self.handle_a if name == "A" else self.handle_b
+        if name == "A":
+            return self.handle_a
+        if name == "B":
+            return self.handle_b
+        raise InvalidParamsError(f"unknown handle {name!r}, expected one of {HANDLES}")
 
 
 @dataclass(frozen=True)

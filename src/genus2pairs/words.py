@@ -107,16 +107,25 @@ def _reduce(letters: str) -> str:
     return "".join(stack)
 
 
-def _join(left: str, right: str) -> str:
-    """Free reduction of ``left + right`` when both parts are freely reduced.
+def _cancellation(left: str, right: str) -> int:
+    """How many letters of each part cancel in ``left + right`` when both
+    parts are freely reduced.
 
     Cancellation can only happen across the boundary, so only the
     letters that meet there are compared.
     """
+    if not (left and right and left[-1] == _INV[right[0]]):
+        return 0
     limit = min(len(left), len(right))
-    cut = 0
+    cut = 1
     while cut < limit and left[-1 - cut] == _INV[right[cut]]:
         cut += 1
+    return cut
+
+
+def _join(left: str, right: str) -> str:
+    """Free reduction of ``left + right`` when both parts are freely reduced."""
+    cut = _cancellation(left, right)
     if not cut:
         return left + right
     return left[: len(left) - cut] + right[cut:]

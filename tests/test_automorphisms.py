@@ -1,4 +1,5 @@
 import random
+from collections import deque
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,13 +7,23 @@ from hypothesis import given, settings, strategies as st
 from genus2pairs.automorphisms import (
     Automorphism,
     _descend,
-    _pair_moves,
+    _move,
+    _move_sizes,
+    _shortening,
     compose,
     nielsen_generators,
 )
 from genus2pairs.errors import NotInvertibleError
 from genus2pairs.primitivity import is_basis_pair, is_primitive
-from genus2pairs.words import CyclicWord, Word, cyclic_equal, cyclic_reduce
+from genus2pairs.words import (
+    CyclicWord,
+    Word,
+    _INV,
+    _invert,
+    _join,
+    cyclic_equal,
+    cyclic_reduce,
+)
 
 words = st.text(alphabet="AaBb", max_size=10).map(Word)
 move_lists = st.lists(st.integers(0, 3), max_size=6)
@@ -39,10 +50,6 @@ def walk_automorphisms(count, seed):
             f = compose(f, rng.choice(gens))
         out.append(f)
     return out
-
-
-def move(u, v, index):
-    return list(_pair_moves(u, v))[index]
 
 
 class TestConstruction:
@@ -159,14 +166,14 @@ class TestComposeInvert:
 
 
 class TestMoveIndices:
-    """``inverse`` replays ``_descend``'s move indices through ``_pair_moves``."""
+    """``inverse`` replays ``_descend``'s move indices through ``_move``."""
 
     @staticmethod
     def check_replay(f):
         u, v = f.image_a.letters, f.image_b.letters
         final_u, final_v, moves = _descend(u, v)
         for index in moves:
-            u, v = move(u, v, index)
+            u, v = _move(u, v, index)
         assert (u, v) == (final_u, final_v)
 
     @given(automorphisms)
@@ -179,8 +186,8 @@ class TestMoveIndices:
 
     @given(automorphisms, st.integers(0, 7))
     def test_move_composes_on_the_right(self, f, index):
-        g = Automorphism(*move("A", "B", index))
-        images = move(f.image_a.letters, f.image_b.letters, index)
+        g = Automorphism(*_move("A", "B", index))
+        images = _move(f.image_a.letters, f.image_b.letters, index)
         assert compose(f, g) == Automorphism(*images)
 
 
@@ -195,3 +202,126 @@ class TestNielsenGenerators:
     def test_all_validated(self):
         for f in nielsen_generators():
             assert is_basis_pair(f.image_a, f.image_b)
+
+
+def reference_moves(u, v):
+    """The eight Nielsen moves, every candidate built, in ``_move`` order."""
+    inv_u, inv_v = _invert(u), _invert(v)
+    return [
+        (_join(u, v), v),
+        (_join(u, inv_v), v),
+        (_join(v, u), v),
+        (_join(inv_v, u), v),
+        (u, _join(v, u)),
+        (u, _join(v, inv_u)),
+        (u, _join(u, v)),
+        (u, _join(inv_u, v)),
+    ]
+
+
+def reference_descend(u, v):
+    """Nielsen descent that builds all eight candidates of every state."""
+    moves = []
+    total = len(u) + len(v)
+    while total > 2:
+        start = (u, v)
+        parents = {start: None}
+        queue = deque([start])
+        found = None
+        while queue and found is None:
+            current = queue.popleft()
+            for index, candidate in enumerate(reference_moves(*current)):
+                size = len(candidate[0]) + len(candidate[1])
+                if size < total:
+                    parents[candidate] = (current, index)
+                    found = candidate
+                    break
+                if size == total and candidate not in parents:
+                    parents[candidate] = (current, index)
+                    queue.append(candidate)
+        if found is None:
+            return None
+        segment = []
+        node = found
+        while node != start:
+            node, index = parents[node]
+            segment.append(index)
+        moves.extend(reversed(segment))
+        u, v = found
+        total = len(u) + len(v)
+    if len(u) == 1 and len(v) == 1 and u.upper() != v.upper():
+        return u, v, moves
+    return None
+
+
+def reduced_pairs(max_total):
+    """Pairs of reduced words of total length <= max_total, one from each
+    orbit of the eight letter maps that swap A with B or invert either.
+
+    Such a map commutes with inversion and free reduction, so it keeps
+    every cancellation count and sends move i of a pair to move i of its
+    image: the sizes, the shortening move and the descent's move list
+    are the same across an orbit.  The representative is the pair whose
+    letters u + v start with A and whose first B-letter is B.
+    """
+    by_length = [[""]]
+    for _ in range(max_total):
+        by_length.append([w + c for w in by_length[-1] for c in "AaBb"
+                          if not w or w[-1] != _INV[c]])
+    pairs = []
+    for total in range(max_total + 1):
+        for length in range(total + 1):
+            for u in by_length[length]:
+                if u and u[0] != "A":
+                    continue
+                for v in by_length[total - length]:
+                    letters = u + v
+                    if letters[:1] in ("", "A") and next(
+                        (c for c in letters if c in "Bb"), "B"
+                    ) == "B":
+                        pairs.append((u, v))
+    return pairs
+
+
+PAIRS = reduced_pairs(8)
+
+
+class TestCountedDescent:
+    """``_descend`` reads candidate lengths off cancellation counts."""
+
+    def test_pairs_cover_every_orbit(self):
+        maps = [str.maketrans("AaBb", image)
+                for image in ("AaBb", "aABb", "AabB", "aAbB",
+                              "BbAa", "bBAa", "BbaA", "bBaA")]
+        images = {(u.translate(m), v.translate(m)) for u, v in PAIRS for m in maps}
+        # 4 * 3**(n - 1) reduced words of each length n >= 1, one of length 0.
+        count = [1] + [4 * 3 ** (n - 1) for n in range(1, 9)]
+        assert len(images) == sum(
+            count[i] * count[j] for i in range(9) for j in range(9 - i)
+        )
+
+    def test_moves_and_sizes_match_built_candidates(self):
+        for u, v in PAIRS:
+            built = [_move(u, v, index) for index in range(8)]
+            assert built == reference_moves(u, v)
+            assert _move_sizes(u, v) == tuple(len(x) + len(y) for x, y in built)
+
+    def test_shortening_is_the_first_shorter_move(self):
+        for u, v in PAIRS:
+            total = len(u) + len(v)
+            shorter = [i for i, size in enumerate(_move_sizes(u, v)) if size < total]
+            assert _shortening(u, v) == (shorter[0] if shorter else None)
+
+    def test_shortening_takes_move_order_over_length(self):
+        # Move 5 leaves a shorter pair than move 1, which comes first.
+        assert _move_sizes("AA", "AAA") == (8, 4, 8, 4, 7, 3, 7, 3)
+        assert _shortening("AA", "AAA") == 1
+
+    def test_descent_matches_reference_on_small_pairs(self):
+        for u, v in PAIRS:
+            assert _descend(u, v) == reference_descend(u, v), (u, v)
+
+    def test_descent_matches_reference_on_walk_bases(self):
+        for f in walk_automorphisms(40, seed=29):
+            u, v = f.image_a.letters, f.image_b.letters
+            assert _descend(u, v) == reference_descend(u, v)

@@ -3,7 +3,7 @@ import itertools
 import pytest
 from hypothesis import given, strategies as st
 
-from genus2pairs.errors import ParityViolationError
+from genus2pairs.errors import InvalidParamsError, ParityViolationError
 from genus2pairs.heegaard import (
     _degrees,
     CURVES,
@@ -140,6 +140,23 @@ class TestConstruction:
     def test_curves_present(self):
         assert fig5c_graph().curves == ("alpha", "beta")
         assert HGraph(beta={"B+B-": 1}).curves == ("beta",)
+
+    def test_relabeling_that_merges_vertices_rejected(self):
+        # Sending A- to B- as well would merge A+A- into A+B- and keep
+        # only one of the two multiplicities.
+        g = HGraph(alpha={"A+A-": 1, "A+B-": 2}, check_parity=False)
+        merge = {"A+": "A+", "A-": "B-", "B+": "B+", "B-": "B-"}
+        with pytest.raises(InvalidParamsError):
+            g.relabeled(merge)
+
+    @pytest.mark.parametrize("mapping", [
+        {"A+": "A+", "A-": "A-", "B+": "B+"},
+        {"A+": "A+", "A-": "A-", "B+": "B+", "B-": "C-"},
+        {"A+": "A-", "A-": "A+", "B+": "B+", "B-": "B-", "C+": "C+"},
+    ])
+    def test_relabeling_must_permute_the_vertices(self, mapping):
+        with pytest.raises(InvalidParamsError):
+            fig5c_graph().relabeled(mapping)
 
 
 def single_edge_slot(key):

@@ -209,6 +209,12 @@ class TestBuilders:
         assert (a_crossings, b_crossings) == (1, 1)
         assert d.handle("A").bands[0].disk == 2
 
+    @pytest.mark.parametrize("name", ["C", "a"])
+    def test_unknown_handle_name_rejected(self, name):
+        d = build_canonical(CanonicalParams.fig2a(2, 1))
+        with pytest.raises(InvalidParamsError):
+            d.handle(name)
+
     @pytest.mark.parametrize("a, b, p, eps", FIG3A_GRID)
     def test_fig3a_validates_and_traces(self, a, b, p, eps):
         d = build_canonical(CanonicalParams.fig3a(a, b, p, eps))

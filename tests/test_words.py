@@ -21,6 +21,7 @@ from genus2pairs.words import (
     cyclic_equal,
     cyclic_reduce,
     _canonical_rotation,
+    _cancellation,
     _invert,
     _join,
     _power_period,
@@ -219,6 +220,7 @@ class TestKernelFastPaths:
         z = stack_reduce(_invert(x)[:overlap] + y)
         assert _join(x, y) == _reduce(x + y)
         assert _join(x, z) == _reduce(x + z)
+        assert len(x) + len(z) - 2 * _cancellation(x, z) == len(_reduce(x + z))
 
     @given(st.text(alphabet="AaBb", max_size=60))
     def test_reduce_matches_stack_reduction(self, s):
