@@ -15,8 +15,8 @@ applied to the result.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 
+from ._record import _Record, _set_field
 from .errors import NotInvertibleError
 from .words import CyclicWord, Word, _cancellation, _invert, _join, substitute
 
@@ -168,8 +168,7 @@ def _descend(u: str, v: str) -> tuple[str, str, list[int]] | None:
     return None
 
 
-@dataclass(frozen=True)
-class Automorphism:
+class Automorphism(_Record):
     """An automorphism A -> image_a, B -> image_b.
 
     >>> f = Automorphism(Word("Ab"), Word("B"))
@@ -177,20 +176,21 @@ class Automorphism:
     Word('AA')
     """
 
-    image_a: Word
-    image_b: Word
+    __slots__ = ("image_a", "image_b")
 
-    def __post_init__(self) -> None:
-        if isinstance(self.image_a, str):
-            object.__setattr__(self, "image_a", Word(self.image_a))
-        if isinstance(self.image_b, str):
-            object.__setattr__(self, "image_b", Word(self.image_b))
+    def __init__(self, image_a: Word, image_b: Word) -> None:
+        if isinstance(image_a, str):
+            image_a = Word(image_a)
+        if isinstance(image_b, str):
+            image_b = Word(image_b)
         from .primitivity import is_basis_pair
 
-        if not is_basis_pair(self.image_a, self.image_b):
+        if not is_basis_pair(image_a, image_b):
             raise NotInvertibleError(
-                f"images ({self.image_a}, {self.image_b}) are not a basis"
+                f"images ({image_a}, {image_b}) are not a basis"
             )
+        _set_field(self, "image_a", image_a)
+        _set_field(self, "image_b", image_b)
 
     @classmethod
     def identity(cls) -> "Automorphism":

@@ -23,9 +23,9 @@ data means the two conjugacy classes agree up to inversion.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from math import gcd
 
+from ._record import _Record, _set_field
 from .errors import (
     BetaNotProperPowerError,
     EmptyWordError,
@@ -49,16 +49,28 @@ class PowerPairOutcome(enum.Enum):
     NONSEPARATING_ANNULUS = "NonseparatingAnnulus"
 
 
-@dataclass(frozen=True)
-class PairClass:
+class PairClass(_Record):
     """Full classification record for one canonical diagram."""
 
-    type_I: bool
-    type_II: bool
-    separated: bool
-    structure: ProductStructure
-    separating_word: CyclicWord
-    twist: int
+    __slots__ = (
+        "type_I", "type_II", "separated", "structure", "separating_word", "twist",
+    )
+
+    def __init__(
+        self,
+        type_I: bool,
+        type_II: bool,
+        separated: bool,
+        structure: ProductStructure,
+        separating_word: CyclicWord,
+        twist: int,
+    ) -> None:
+        _set_field(self, "type_I", type_I)
+        _set_field(self, "type_II", type_II)
+        _set_field(self, "separated", separated)
+        _set_field(self, "structure", structure)
+        _set_field(self, "separating_word", separating_word)
+        _set_field(self, "twist", twist)
 
     def to_json(self) -> dict:
         return {

@@ -178,55 +178,49 @@ class HGraph:
         return f"HGraph({self.to_json()!r})"
 
 
-def _support(edges: dict[tuple[str, str], int]) -> set[str]:
-    return {v for v, degree in _degrees(edges).items() if degree}
+def _neighbours(edges: dict[tuple[str, str], int]) -> dict[str, set[str]]:
+    """The neighbours of each vertex that an edge touches; a loop makes
+    its vertex its own neighbour.  Stored multiplicities are positive."""
+    out: dict[str, set[str]] = {}
+    for v, w in edges:
+        out.setdefault(v, set()).add(w)
+        out.setdefault(w, set()).add(v)
+    return out
 
 
-def _component_count(vertices: set[str], edges: dict[tuple[str, str], int]) -> int:
+def _component_count(vertices, neighbours: dict[str, set[str]]) -> int:
+    """Components of the subgraph spanned by ``vertices``."""
     remaining = set(vertices)
     count = 0
     while remaining:
         count += 1
         stack = [remaining.pop()]
         while stack:
-            v = stack.pop()
-            for (x, y), mult in edges.items():
-                if not mult:
-                    continue
-                if x == v and y in remaining:
-                    remaining.discard(y)
-                    stack.append(y)
-                elif y == v and x in remaining:
-                    remaining.discard(x)
-                    stack.append(x)
+            found = neighbours[stack.pop()] & remaining
+            remaining -= found
+            stack.extend(found)
     return count
 
 
 def is_connected(graph: HGraph, curve: str) -> bool:
     """Connectivity of the curve's edges on their supporting vertices."""
-    edges = graph._edges.get(curve, {})
-    support = _support(edges)
-    if len(support) <= 1:
-        return True
-    return _component_count(support, edges) == 1
+    neighbours = _neighbours(graph._edges.get(curve, {}))
+    return _component_count(neighbours, neighbours) <= 1
 
 
 def cut_vertices(graph: HGraph, curve: str) -> set[str]:
     """Vertices whose removal disconnects the curve's subgraph."""
-    edges = graph._edges.get(curve, {})
-    support = _support(edges)
-    if len(support) <= 2:
+    neighbours = _neighbours(graph._edges.get(curve, {}))
+    if len(neighbours) <= 2:
         return set()
-    base = _component_count(support, edges)
-    out = set()
-    for v in support:
-        rest = support - {v}
-        kept = {
-            slot: mult for slot, mult in edges.items() if v not in slot
-        }
-        if _component_count(rest, kept) > base:
-            out.add(v)
-    return out
+    base = _component_count(neighbours, neighbours)
+    # A path through v enters and leaves by two distinct neighbours, so
+    # only a vertex with two neighbours besides itself can be a cut.
+    return {
+        v for v, near in neighbours.items()
+        if len(near - {v}) > 1
+        and _component_count(neighbours.keys() - {v}, neighbours) > base
+    }
 
 
 def _beta_is_single_dual(graph: HGraph) -> int | None:

@@ -13,7 +13,7 @@ tests play the commutator test against the descent.
 from __future__ import annotations
 
 from .automorphisms import _descend, nielsen_generators
-from .errors import BudgetExceededError
+from .errors import BudgetExceededError, InvalidParamsError
 from .words import CyclicWord, Word
 
 _SLACK = 4
@@ -29,8 +29,13 @@ def enumerate_primitives(max_len: int) -> frozenset[CyclicWord]:
     representatives that are only reachable through longer ones; after
     the closure stabilises, one more full sweep checks that no kept
     class produces anything new.  Results are cached per max_len.
+
+    Raises InvalidParamsError when max_len is below 1 and
+    BudgetExceededError when it is above 14.
     """
-    if not 1 <= max_len <= _MAX_LEN_CAP:
+    if max_len < 1:
+        raise InvalidParamsError(f"max_len must be at least 1, got {max_len}")
+    if max_len > _MAX_LEN_CAP:
         raise BudgetExceededError(
             f"max_len must lie in 1..{_MAX_LEN_CAP}, got {max_len}"
         )

@@ -18,8 +18,8 @@ kept as an independent certificate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
+from ._record import _Record, _set_field
 from .errors import EmptyWordError, SingleGeneratorError
 from .words import (
     CyclicWord,
@@ -33,8 +33,7 @@ from .words import (
 )
 
 
-@dataclass(frozen=True)
-class PrimitiveForm:
+class PrimitiveForm(_Record):
     """The exponent shape a primitive attains after relabeling letters.
 
     ``base_generator`` is the original generator whose exponents lie in
@@ -44,13 +43,28 @@ class PrimitiveForm:
     syllables carry ``exponent`` and ``exponent + 1`` respectively.
     """
 
-    base_generator: str
-    exponent: int
-    low_count: int
-    high_count: int
-    inverted_a: bool
-    inverted_b: bool
-    swapped: bool
+    __slots__ = (
+        "base_generator", "exponent", "low_count", "high_count",
+        "inverted_a", "inverted_b", "swapped",
+    )
+
+    def __init__(
+        self,
+        base_generator: str,
+        exponent: int,
+        low_count: int,
+        high_count: int,
+        inverted_a: bool,
+        inverted_b: bool,
+        swapped: bool,
+    ) -> None:
+        _set_field(self, "base_generator", base_generator)
+        _set_field(self, "exponent", exponent)
+        _set_field(self, "low_count", low_count)
+        _set_field(self, "high_count", high_count)
+        _set_field(self, "inverted_a", inverted_a)
+        _set_field(self, "inverted_b", inverted_b)
+        _set_field(self, "swapped", swapped)
 
     @property
     def exponents(self) -> set[int]:

@@ -21,9 +21,9 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
 from typing import NamedTuple, Union
 
+from ._record import _Record, _set_field
 from .errors import (
     InvalidParamsError,
     UnknownCurveError,
@@ -35,21 +35,27 @@ HANDLES = ("A", "B")
 ENDS = ("+", "-")
 
 
-@dataclass(frozen=True)
-class Band:
+class Band(_Record):
     """A family of parallel essential arcs through one handle."""
 
-    multiplicity: int
-    disk: int | None
-    longitude: int | None = None
+    __slots__ = ("multiplicity", "disk", "longitude")
+
+    def __init__(
+        self, multiplicity: int, disk: int | None, longitude: int | None = None
+    ) -> None:
+        _set_field(self, "multiplicity", multiplicity)
+        _set_field(self, "disk", disk)
+        _set_field(self, "longitude", longitude)
 
 
-@dataclass(frozen=True)
-class HandleLabel:
+class HandleLabel(_Record):
     """A handle together with its bands, at most three of them."""
 
-    handle: str
-    bands: tuple[Band, ...]
+    __slots__ = ("handle", "bands")
+
+    def __init__(self, handle: str, bands: tuple[Band, ...]) -> None:
+        _set_field(self, "handle", handle)
+        _set_field(self, "bands", bands)
 
 
 class Endpoint(NamedTuple):
@@ -61,13 +67,15 @@ class Endpoint(NamedTuple):
         return f"{self.handle}.{self.band}.{self.end}"
 
 
-@dataclass(frozen=True)
-class Arc:
+class Arc(_Record):
     """An annulus arc between band ends, drawn with a multiplicity."""
 
-    start: Endpoint
-    stop: Endpoint
-    multiplicity: int
+    __slots__ = ("start", "stop", "multiplicity")
+
+    def __init__(self, start: Endpoint, stop: Endpoint, multiplicity: int) -> None:
+        _set_field(self, "start", start)
+        _set_field(self, "stop", stop)
+        _set_field(self, "multiplicity", multiplicity)
 
 
 class TraverseStep(NamedTuple):
@@ -123,12 +131,24 @@ def parse_endpoint(token: str) -> Endpoint:
         raise InvalidParamsError(f"malformed endpoint token {token!r}") from None
 
 
-@dataclass
-class RRDiagram:
-    handle_a: HandleLabel
-    handle_b: HandleLabel
-    arcs: tuple[Arc, ...] = ()
-    curves: dict[str, tuple[Step, ...]] = field(default_factory=dict)
+class RRDiagram(_Record, frozen=False):
+    """A railroad diagram: the bands of each handle, the annulus arcs,
+    and named curves as closed walks of steps.  It is mutable, and each
+    diagram built without ``curves`` gets an empty dict of its own."""
+
+    __slots__ = ("handle_a", "handle_b", "arcs", "curves")
+
+    def __init__(
+        self,
+        handle_a: HandleLabel,
+        handle_b: HandleLabel,
+        arcs: tuple[Arc, ...] = (),
+        curves: dict[str, tuple[Step, ...]] | None = None,
+    ) -> None:
+        self.handle_a = handle_a
+        self.handle_b = handle_b
+        self.arcs = arcs
+        self.curves = {} if curves is None else curves
 
     def handle(self, name: str) -> HandleLabel:
         if name == "A":
@@ -138,12 +158,14 @@ class RRDiagram:
         raise InvalidParamsError(f"unknown handle {name!r}, expected one of {HANDLES}")
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(_Record):
     """One failed diagram constraint."""
 
-    kind: str
-    message: str
+    __slots__ = ("kind", "message")
+
+    def __init__(self, kind: str, message: str) -> None:
+        _set_field(self, "kind", kind)
+        _set_field(self, "message", message)
 
     def __str__(self) -> str:
         return f"{self.kind}: {self.message}"
@@ -380,8 +402,7 @@ def trace_word(diagram: RRDiagram, curve: str) -> CyclicWord:
     return CyclicWord("".join(map(str.__mul__, letters, counts)))
 
 
-@dataclass(frozen=True)
-class CanonicalParams:
+class CanonicalParams(_Record):
     """Parameters selecting one of the three canonical diagram families.
 
     fig1a: the two disk duals, one band on each handle.
@@ -393,12 +414,23 @@ class CanonicalParams:
         a + b times.  In every family beta is the handle-B disk dual.
     """
 
-    variant: str
-    p: int | None = None
-    q: int | None = None
-    a: int | None = None
-    b: int | None = None
-    eps: int | None = None
+    __slots__ = ("variant", "p", "q", "a", "b", "eps")
+
+    def __init__(
+        self,
+        variant: str,
+        p: int | None = None,
+        q: int | None = None,
+        a: int | None = None,
+        b: int | None = None,
+        eps: int | None = None,
+    ) -> None:
+        _set_field(self, "variant", variant)
+        _set_field(self, "p", p)
+        _set_field(self, "q", q)
+        _set_field(self, "a", a)
+        _set_field(self, "b", b)
+        _set_field(self, "eps", eps)
 
     @classmethod
     def fig1a(cls) -> "CanonicalParams":

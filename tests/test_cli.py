@@ -282,6 +282,13 @@ class TestOracleCommand:
         assert code == 65
         assert err.startswith("BudgetExceeded:")
 
+    @pytest.mark.parametrize("max_len", ["0", "-1"])
+    def test_below_one_is_invalid(self, max_len):
+        code, out, err = invoke("oracle", "primitives", "--max-len", max_len)
+        assert code == 65
+        assert out == ""
+        assert err == f"InvalidParams: max_len must be at least 1, got {max_len}\n"
+
 
 class TestExitProtocol:
     @pytest.mark.parametrize(

@@ -72,6 +72,50 @@ def assert_agrees_with_reference(alpha, beta):
         assert minimality_witness(graph) == reference_witness(graph)
 
 
+def reference_component_count(vertices, edges):
+    """Components by scanning every edge for each vertex reached."""
+    remaining = set(vertices)
+    count = 0
+    while remaining:
+        count += 1
+        stack = [remaining.pop()]
+        while stack:
+            v = stack.pop()
+            for (x, y), mult in edges.items():
+                if not mult:
+                    continue
+                if x == v and y in remaining:
+                    remaining.discard(y)
+                    stack.append(y)
+                elif y == v and x in remaining:
+                    remaining.discard(x)
+                    stack.append(x)
+    return count
+
+
+def reference_connectivity(graph, curve):
+    """(is_connected, cut_vertices), recounting components without each
+    vertex on a filtered copy of the edges."""
+    edges = graph.edges(curve)
+    support = {v for v, degree in _degrees(edges).items() if degree}
+    connected = len(support) <= 1 or reference_component_count(support, edges) == 1
+    if len(support) <= 2:
+        return connected, set()
+    base = reference_component_count(support, edges)
+    cuts = set()
+    for v in support:
+        kept = {slot: mult for slot, mult in edges.items() if v not in slot}
+        if reference_component_count(support - {v}, kept) > base:
+            cuts.add(v)
+    return connected, cuts
+
+
+def assert_connectivity_agrees(alpha):
+    graph = HGraph(alpha=alpha, check_parity=False)
+    expected = reference_connectivity(graph, "alpha")
+    assert (is_connected(graph, "alpha"), cut_vertices(graph, "alpha")) == expected
+
+
 multiplicities = st.integers(0, 50)
 # Random assignments rarely hit the shape, so also build near-misses of
 # it: an A+A- slot, one crossing pair with nearly equal multiplicities,
@@ -310,6 +354,19 @@ class TestConnectivity:
             beta={"B+B-": 1},
         )
         assert cut_vertices(g, "alpha") == set()
+
+
+    def test_every_assignment_up_to_total_six(self):
+        for total in range(7):
+            for chosen in itertools.combinations_with_replacement(SLOTS, total):
+                alpha = {}
+                for slot in chosen:
+                    alpha[slot] = alpha.get(slot, 0) + 1
+                assert_connectivity_agrees(alpha)
+
+    @given(st.one_of(shaped_alphas, random_alphas, curve_edges))
+    def test_random_multiplicities(self, alpha):
+        assert_connectivity_agrees(alpha)
 
 
 class TestMatchesFig5c:

@@ -2,7 +2,7 @@ from math import gcd
 
 import pytest
 
-from genus2pairs.errors import BudgetExceededError
+from genus2pairs.errors import BudgetExceededError, InvalidParamsError
 from genus2pairs.oracle import brute_is_basis, enumerate_primitives
 from genus2pairs.words import CyclicWord, Word
 
@@ -50,9 +50,14 @@ class TestEnumeratePrimitives:
         # this count was frozen from an independent tally of the classes.
         assert len(enumerate_primitives(9)) == 112
 
-    @pytest.mark.parametrize("bad", [0, -3, 15, 99])
+    @pytest.mark.parametrize("bad", [15, 99])
     def test_budget_guard(self, bad):
         with pytest.raises(BudgetExceededError):
+            enumerate_primitives(bad)
+
+    @pytest.mark.parametrize("bad", [0, -3])
+    def test_below_one_is_invalid(self, bad):
+        with pytest.raises(InvalidParamsError, match="at least 1"):
             enumerate_primitives(bad)
 
     def test_cached_result_is_stable(self):

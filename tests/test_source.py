@@ -48,17 +48,42 @@ def test_no_click(path):
     assert "click" not in roots
 
 
-def test_cli_imports_no_command_modules():
-    """Importing the command line loads none of the modules its commands run."""
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_dataclasses(path):
+    """Records derive from ``_record._Record``; ``dataclasses`` would load
+    ``inspect`` into every command."""
+    assert "dataclasses" not in set(_imported_modules(path))
+
+
+def _loaded_after_import(*modules):
+    """The names in ``sys.modules`` of a fresh interpreter after importing
+    ``modules``."""
     src = str(Path(genus2pairs.__file__).resolve().parents[1])
-    script = "import sys, genus2pairs.cli; print(' '.join(sorted(sys.modules)))"
+    script = f"import sys, {', '.join(modules)}; print(' '.join(sorted(sys.modules)))"
     result = subprocess.run([sys.executable, "-c", script], capture_output=True,
                             text=True, env={**os.environ, "PYTHONPATH": src}, check=True)
-    loaded = set(result.stdout.split())
+    return set(result.stdout.split())
+
+
+def test_cli_imports_no_command_modules():
+    """Importing the command line loads none of the modules its commands run."""
+    loaded = _loaded_after_import("genus2pairs.cli")
     assert "genus2pairs.cli" in loaded
     heavy = {"click"} | {f"genus2pairs.{m}" for m in (
         "rr_diagram", "classifier", "heegaard", "oracle", "automorphisms")}
     assert not loaded & heavy
+
+
+@pytest.mark.parametrize("modules", [
+    ("primitivity",), ("rr_diagram",), ("classifier",),
+    ("oracle", "automorphisms"), ("heegaard",),
+], ids="-".join)
+def test_commands_load_no_inspect(modules):
+    """The modules behind the README's calls stay clear of ``inspect``."""
+    loaded = _loaded_after_import(
+        "genus2pairs.cli", *(f"genus2pairs.{m}" for m in modules))
+    assert {f"genus2pairs.{m}" for m in modules} <= loaded
+    assert not loaded & {"inspect", "dataclasses"}
 
 
 def test_star_import_binds_all():
