@@ -25,7 +25,7 @@ from __future__ import annotations
 import enum
 from math import gcd
 
-from ._record import _Record, _set_field
+from ._record import _Record
 from .errors import (
     BetaNotProperPowerError,
     EmptyWordError,
@@ -55,22 +55,6 @@ class PairClass(_Record):
     __slots__ = (
         "type_I", "type_II", "separated", "structure", "separating_word", "twist",
     )
-
-    def __init__(
-        self,
-        type_I: bool,
-        type_II: bool,
-        separated: bool,
-        structure: ProductStructure,
-        separating_word: CyclicWord,
-        twist: int,
-    ) -> None:
-        _set_field(self, "type_I", type_I)
-        _set_field(self, "type_II", type_II)
-        _set_field(self, "separated", separated)
-        _set_field(self, "structure", structure)
-        _set_field(self, "separating_word", separating_word)
-        _set_field(self, "twist", twist)
 
     def to_json(self) -> dict:
         return {

@@ -30,9 +30,11 @@ def enumerate_primitives(max_len: int) -> frozenset[CyclicWord]:
     the closure stabilises, one more full sweep checks that no kept
     class produces anything new.  Results are cached per max_len.
 
-    Raises InvalidParamsError when max_len is below 1 and
-    BudgetExceededError when it is above 14.
+    Raises InvalidParamsError when max_len is not an int or is below 1,
+    and BudgetExceededError when it is above 14.
     """
+    if type(max_len) is not int:
+        raise InvalidParamsError(f"max_len must be an integer, got {max_len!r}")
     if max_len < 1:
         raise InvalidParamsError(f"max_len must be at least 1, got {max_len}")
     if max_len > _MAX_LEN_CAP:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 
-from ._record import _Record, _set_field
+from ._record import _Record
 from .errors import EmptyWordError, SingleGeneratorError
 from .words import (
     CyclicWord,
@@ -47,24 +47,6 @@ class PrimitiveForm(_Record):
         "base_generator", "exponent", "low_count", "high_count",
         "inverted_a", "inverted_b", "swapped",
     )
-
-    def __init__(
-        self,
-        base_generator: str,
-        exponent: int,
-        low_count: int,
-        high_count: int,
-        inverted_a: bool,
-        inverted_b: bool,
-        swapped: bool,
-    ) -> None:
-        _set_field(self, "base_generator", base_generator)
-        _set_field(self, "exponent", exponent)
-        _set_field(self, "low_count", low_count)
-        _set_field(self, "high_count", high_count)
-        _set_field(self, "inverted_a", inverted_a)
-        _set_field(self, "inverted_b", inverted_b)
-        _set_field(self, "swapped", swapped)
 
     @property
     def exponents(self) -> set[int]:

@@ -23,7 +23,7 @@ import math
 from collections import Counter
 from typing import NamedTuple, Union
 
-from ._record import _Record, _set_field
+from ._record import _Record
 from .errors import (
     InvalidParamsError,
     UnknownCurveError,
@@ -35,27 +35,16 @@ HANDLES = ("A", "B")
 ENDS = ("+", "-")
 
 
-class Band(_Record):
+class Band(_Record, defaults=(None,)):
     """A family of parallel essential arcs through one handle."""
 
     __slots__ = ("multiplicity", "disk", "longitude")
-
-    def __init__(
-        self, multiplicity: int, disk: int | None, longitude: int | None = None
-    ) -> None:
-        _set_field(self, "multiplicity", multiplicity)
-        _set_field(self, "disk", disk)
-        _set_field(self, "longitude", longitude)
 
 
 class HandleLabel(_Record):
     """A handle together with its bands, at most three of them."""
 
     __slots__ = ("handle", "bands")
-
-    def __init__(self, handle: str, bands: tuple[Band, ...]) -> None:
-        _set_field(self, "handle", handle)
-        _set_field(self, "bands", bands)
 
 
 class Endpoint(NamedTuple):
@@ -71,11 +60,6 @@ class Arc(_Record):
     """An annulus arc between band ends, drawn with a multiplicity."""
 
     __slots__ = ("start", "stop", "multiplicity")
-
-    def __init__(self, start: Endpoint, stop: Endpoint, multiplicity: int) -> None:
-        _set_field(self, "start", start)
-        _set_field(self, "stop", stop)
-        _set_field(self, "multiplicity", multiplicity)
 
 
 class TraverseStep(NamedTuple):
@@ -106,6 +90,14 @@ def _index(text: str) -> int:
     return index
 
 
+def _band_end(token: str) -> Endpoint:
+    """A ``handle.band.end`` token; ValueError when it is malformed."""
+    handle, band, end = token.split(".")
+    if handle not in HANDLES or end not in ENDS:
+        raise ValueError(token)
+    return Endpoint(handle, _index(band), end)
+
+
 def parse_step(token: str) -> Step:
     try:
         if token.startswith("arc:"):
@@ -113,20 +105,15 @@ def parse_step(token: str) -> Step:
             if sign not in ENDS:
                 raise ValueError(token)
             return ArcStep(_index(index), 1 if sign == "+" else -1)
-        handle, band, sign = token.split(".")
-        if handle not in HANDLES or sign not in ENDS:
-            raise ValueError(token)
-        return TraverseStep(handle, _index(band), 1 if sign == "+" else -1)
+        handle, band, end = _band_end(token)
+        return TraverseStep(handle, band, 1 if end == "+" else -1)
     except (ValueError, IndexError):
         raise InvalidParamsError(f"malformed step token {token!r}") from None
 
 
 def parse_endpoint(token: str) -> Endpoint:
     try:
-        handle, band, end = token.split(".")
-        if handle not in HANDLES or end not in ENDS:
-            raise ValueError(token)
-        return Endpoint(handle, _index(band), end)
+        return _band_end(token)
     except (ValueError, IndexError):
         raise InvalidParamsError(f"malformed endpoint token {token!r}") from None
 
@@ -162,10 +149,6 @@ class Violation(_Record):
     """One failed diagram constraint."""
 
     __slots__ = ("kind", "message")
-
-    def __init__(self, kind: str, message: str) -> None:
-        _set_field(self, "kind", kind)
-        _set_field(self, "message", message)
 
     def __str__(self) -> str:
         return f"{self.kind}: {self.message}"
@@ -402,7 +385,7 @@ def trace_word(diagram: RRDiagram, curve: str) -> CyclicWord:
     return CyclicWord("".join(map(str.__mul__, letters, counts)))
 
 
-class CanonicalParams(_Record):
+class CanonicalParams(_Record, defaults=(None,) * 5):
     """Parameters selecting one of the three canonical diagram families.
 
     fig1a: the two disk duals, one band on each handle.
@@ -415,22 +398,6 @@ class CanonicalParams(_Record):
     """
 
     __slots__ = ("variant", "p", "q", "a", "b", "eps")
-
-    def __init__(
-        self,
-        variant: str,
-        p: int | None = None,
-        q: int | None = None,
-        a: int | None = None,
-        b: int | None = None,
-        eps: int | None = None,
-    ) -> None:
-        _set_field(self, "variant", variant)
-        _set_field(self, "p", p)
-        _set_field(self, "q", q)
-        _set_field(self, "a", a)
-        _set_field(self, "b", b)
-        _set_field(self, "eps", eps)
 
     @classmethod
     def fig1a(cls) -> "CanonicalParams":
@@ -445,23 +412,18 @@ class CanonicalParams(_Record):
         return cls("fig3a", p=p, a=a, b=b, eps=eps)
 
     def validated(self) -> "CanonicalParams":
-        given = {
-            name: value
-            for name, value in (
-                ("p", self.p), ("q", self.q),
-                ("a", self.a), ("b", self.b), ("eps", self.eps),
-            )
-            if value is not None
-        }
+        given = sorted(
+            name for name in self.__slots__[1:] if getattr(self, name) is not None
+        )
         if self.variant == "fig1a":
             if given:
                 raise InvalidParamsError(
-                    f"fig1a takes no parameters, got {sorted(given)}"
+                    f"fig1a takes no parameters, got {given}"
                 )
         elif self.variant == "fig2a":
-            if sorted(given) != ["p", "q"]:
+            if given != ["p", "q"]:
                 raise InvalidParamsError(
-                    f"fig2a needs exactly p and q, got {sorted(given)}"
+                    f"fig2a needs exactly p and q, got {given}"
                 )
             if self.p == 0:
                 raise InvalidParamsError("fig2a needs p != 0")
@@ -471,9 +433,9 @@ class CanonicalParams(_Record):
                     f"= {math.gcd(self.p, self.q)}"
                 )
         elif self.variant == "fig3a":
-            if sorted(given) != ["a", "b", "eps", "p"]:
+            if given != ["a", "b", "eps", "p"]:
                 raise InvalidParamsError(
-                    f"fig3a needs exactly a, b, p, eps, got {sorted(given)}"
+                    f"fig3a needs exactly a, b, p, eps, got {given}"
                 )
             if self.a < 1 or self.b < 1 or self.a + self.b < 2:
                 raise InvalidParamsError(

@@ -15,6 +15,7 @@ rotation blind.
 from __future__ import annotations
 
 import re
+from itertools import groupby
 from math import gcd
 from typing import Iterable, Iterator, NamedTuple
 
@@ -227,16 +228,8 @@ def _canonical_rotation(letters: str) -> str:
 
 
 def _runs(letters: str) -> list[tuple[str, int]]:
-    """Cyclic maximal runs of equal letters, wrap-around merged."""
-    runs: list[list] = []
-    for ch in letters:
-        if runs and runs[-1][0] == ch:
-            runs[-1][1] += 1
-        else:
-            runs.append([ch, 1])
-    if len(runs) > 1 and runs[0][0] == runs[-1][0]:
-        runs[0][1] += runs.pop()[1]
-    return [(ch, count) for ch, count in runs]
+    """Maximal runs of equal letters, left to right."""
+    return [(ch, len(list(run))) for ch, run in groupby(letters)]
 
 
 def _abelianization(letters: str) -> tuple[int, int]:
@@ -373,21 +366,18 @@ class CyclicWord(_LetterString):
     def syllables(self) -> list[Syllable]:
         """Maximal runs as (generator, signed exponent) pairs.
 
-        Runs are read around the cycle (the wrap-around run is merged)
-        and the list is rotated so the first syllable uses generator A
-        whenever both generators occur.  Concatenating the syllables
-        recovers the cyclic word up to rotation.
+        Runs are read around the cycle.  The canonical rotation starts
+        where a run starts, so no run wraps around, and it starts with A
+        or a, so the first syllable uses generator A whenever both
+        generators occur.  Concatenating the syllables recovers the
+        cyclic word up to rotation.
         """
         if not self._letters:
             raise EmptyWordError("the identity has no syllables")
-        sylls = [
+        return [
             Syllable(ch.upper(), count if ch.isupper() else -count)
             for ch, count in _runs(self._letters)
         ]
-        if any(sy.generator == "A" for sy in sylls) and sylls[0].generator != "A":
-            first = next(i for i, sy in enumerate(sylls) if sy.generator == "A")
-            sylls = sylls[first:] + sylls[:first]
-        return sylls
 
 
 def cyclic_reduce(word: Word) -> tuple[CyclicWord, Word]:

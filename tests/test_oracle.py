@@ -3,6 +3,7 @@ from math import gcd
 import pytest
 
 from genus2pairs.errors import BudgetExceededError, InvalidParamsError
+from genus2pairs import oracle
 from genus2pairs.oracle import brute_is_basis, enumerate_primitives
 from genus2pairs.words import CyclicWord, Word
 
@@ -59,6 +60,12 @@ class TestEnumeratePrimitives:
     def test_below_one_is_invalid(self, bad):
         with pytest.raises(InvalidParamsError, match="at least 1"):
             enumerate_primitives(bad)
+
+    @pytest.mark.parametrize("bad", [2.5, 3.0, "3", True, None], ids=repr)
+    def test_non_integer_is_invalid(self, bad):
+        with pytest.raises(InvalidParamsError, match="must be an integer"):
+            enumerate_primitives(bad)
+        assert all(type(key) is int for key in oracle._cache)
 
     def test_cached_result_is_stable(self):
         assert enumerate_primitives(5) is enumerate_primitives(5)

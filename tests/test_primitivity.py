@@ -107,6 +107,12 @@ class TestPrimitiveForm:
         assert form.exponent == 2
         assert form.high_count == 0
 
+    @pytest.mark.parametrize("word, exponents", [
+        ("AABAAAB", {2, 3}), ("AAB", {2}), ("AABAABAB", {1, 2}),
+    ])
+    def test_exponents(self, word, exponents):
+        assert primitive_form(CyclicWord(word)).exponents == exponents
+
     def test_mixed_signs_rejected(self):
         assert primitive_form(CyclicWord("AABaab")) is None
 

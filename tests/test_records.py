@@ -12,6 +12,7 @@ from types import SimpleNamespace
 
 import pytest
 
+from genus2pairs._record import _Record, _set_field
 from genus2pairs.automorphisms import Automorphism
 from genus2pairs.classifier import PairClass, ProductStructure
 from genus2pairs.errors import NotInvertibleError
@@ -147,6 +148,45 @@ class TestDefaults:
     def test_canonical_params(self):
         params = CanonicalParams("fig1a")
         assert (params.p, params.q, params.a, params.b, params.eps) == (None,) * 5
+
+
+class TestGeneratedInit:
+    """The base writes ``__init__`` for a record that defines none."""
+
+    @pytest.mark.parametrize("cls, args, kwargs, message", [
+        (Band, (1,), {}, "missing 1 required positional argument: 'disk'"),
+        (Band, (1, 2, 3, 4), {},
+         "takes from 3 to 4 positional arguments but 5 were given"),
+        (Arc, (1, 2, 3), {"start": 1}, "got multiple values for argument 'start'"),
+        (CanonicalParams, ("fig1a",), {"zz": 1}, "got an unexpected keyword argument 'zz'"),
+        (PairClass, tuple(range(5)), {},
+         "missing 1 required positional argument: 'twist'"),
+        (PrimitiveForm, tuple(range(8)), {},
+         "takes 8 positional arguments but 9 were given"),
+    ], ids=lambda value: getattr(value, "__name__", None))
+    def test_type_error_text(self, cls, args, kwargs, message):
+        with pytest.raises(TypeError) as info:
+            cls(*args, **kwargs)
+        assert str(info.value) == f"{cls.__name__}.__init__() {message}"
+
+    def test_defaults_fill_trailing_fields(self):
+        class Point(_Record, defaults=(0, None)):
+            __slots__ = ("x", "y", "z")
+
+        assert Point(1) == Point(1, 0, None) == Point(x=1, z=None)
+        assert Point.__init__.__qualname__.endswith("Point.__init__")
+        assert Point.__init__.__defaults__ == (0, None)
+        assert HandleLabel.__init__.__defaults__ is None
+
+    def test_own_init_is_kept(self):
+        class Doubled(_Record):
+            __slots__ = ("x",)
+
+            def __init__(self, x):
+                _set_field(self, "x", 2 * x)
+
+        assert Doubled(2).x == 4
+        assert Doubled.__init__.__qualname__.endswith("Doubled.__init__")
 
 
 class TestRRDiagramIsMutable:

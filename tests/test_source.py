@@ -55,6 +55,29 @@ def test_no_dataclasses(path):
     assert "dataclasses" not in set(_imported_modules(path))
 
 
+def _plain_record_inits(path):
+    """Records whose ``__init__`` only copies each parameter to the field
+    of the same name, the one ``_Record`` writes for a class without one."""
+    for cls in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if not (isinstance(cls, ast.ClassDef) and "_Record" in map(ast.unparse, cls.bases)):
+            continue
+        for node in cls.body:
+            if not (isinstance(node, ast.FunctionDef) and node.name == "__init__"):
+                continue
+            params = [arg.arg for arg in node.args.args[1:]]
+            copies = {f"_set_field(self, {p!r}, {p})" for p in params}
+            copies |= {f"self.{p} = {p}" for p in params}
+            body = [stmt for stmt in node.body if not (
+                isinstance(stmt, ast.Expr) and isinstance(stmt.value, ast.Constant))]
+            if all(ast.unparse(stmt) in copies for stmt in body):
+                yield cls.name
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_records_leave_plain_inits_to_the_base(path):
+    assert not list(_plain_record_inits(path))
+
+
 def _loaded_after_import(*modules):
     """The names in ``sys.modules`` of a fresh interpreter after importing
     ``modules``."""

@@ -4,7 +4,7 @@ from math import gcd
 from unittest import mock
 
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
 from genus2pairs.classifier import separating_word
 from genus2pairs.errors import BudgetExceededError, EmptyWordError, InvalidWordError
@@ -333,6 +333,17 @@ class TestWord:
         assert Word(w) == w
         assert Word(CyclicWord("AB")) == w
 
+    def test_accepts_letter_iterables(self):
+        assert Word(["A", "B", "b"]) == Word("A")
+        assert CyclicWord(iter("BA")) == CyclicWord("AB")
+        with pytest.raises(InvalidWordError, match="'x'"):
+            Word(["A", "x"])
+
+    def test_iterates_over_reduced_letters(self):
+        assert list(Word("ABba")) == []
+        assert list(Word("AAbA")) == ["A", "A", "b", "A"]
+        assert Word(Word("Ab")) == Word(list(Word("Ab")))
+
     @given(letter_strings)
     def test_reduce_idempotent(self, s):
         w = Word(s)
@@ -479,8 +490,12 @@ class TestSyllables:
             Syllable("A", 1), Syllable("B", 1), Syllable("A", -1), Syllable("B", -1),
         ]
 
-    def test_first_syllable_uses_A_when_both_occur(self):
-        assert CyclicWord("BBBAB").syllables()[0].generator == "A"
+    @given(letter_strings)
+    @example("BBBAB")
+    def test_first_syllable_uses_A_when_both_occur(self, s):
+        w = CyclicWord(s)
+        assume(w.generators() == {"A", "B"})
+        assert w.syllables()[0].generator == "A"
 
     def test_empty_rejected(self):
         with pytest.raises(EmptyWordError):
@@ -498,10 +513,12 @@ class TestSyllables:
         assert CyclicWord(rebuilt) == w
 
     @given(letter_strings.filter(lambda s: bool(CyclicWord(s))))
+    @example("BAB" * 30)
+    @example("bAAb" + "AB" * 40)
     def test_alternating_generators(self, s):
         sylls = CyclicWord(s).syllables()
-        for cur, nxt in zip(sylls, sylls[1:]):
-            assert cur.generator != nxt.generator
+        for cur, nxt in zip(sylls, sylls[1:] + sylls[:1]):
+            assert len(sylls) == 1 or cur.generator != nxt.generator
         for sy in sylls:
             assert sy.exponent != 0
 
