@@ -4,17 +4,15 @@ An endomorphism A -> image_a, B -> image_b is an automorphism exactly
 when the image pair is a basis, which the constructor enforces.  The
 inverse is computed by Nielsen descent: elementary replacements of one
 image by its product with the other are applied to the image pair until
-only single letters remain, recording each move.  Each step reads the
-lengths of all eight candidate pairs off four boundary counts (the
-cancellation in u*v and in v*u, and the common prefix and suffix of u
-and v) and builds only the candidate it takes.  The recorded moves are
-then replayed on (A, B), and the inverse of the terminal letter map is
-applied to the result.
+only single letters remain, recording each move.  Each step takes the
+first move that shortens the pair, testing the moves in order with
+lengths read off the boundary cancellation counts, and builds only that
+move; a pair with no shortening move is not a basis (see ``_descend``).
+The recorded moves are then replayed on (A, B), and the inverse of the
+terminal letter map is applied to the result.
 """
 
 from __future__ import annotations
-
-from collections import deque
 
 from ._record import _Record, _set_field
 from .errors import NotInvertibleError
@@ -62,22 +60,6 @@ def _common_suffix(u: str, v: str) -> int:
     return n
 
 
-def _move_sizes(u: str, v: str) -> tuple[int, ...]:
-    """Total length of each of the eight moved pairs, without building any.
-
-    Move i with cancellation count c gives |u| + 2|v| - 2c for i < 4,
-    where v is added to u, and 2|u| + |v| - 2c otherwise.
-    """
-    uv, vu = _cancellation(u, v), _cancellation(v, u)
-    prefix, suffix = _common_prefix(u, v), _common_suffix(u, v)
-    grow_u = len(u) + 2 * len(v)
-    grow_v = 2 * len(u) + len(v)
-    return (
-        grow_u - 2 * uv, grow_u - 2 * suffix, grow_u - 2 * vu, grow_u - 2 * prefix,
-        grow_v - 2 * vu, grow_v - 2 * suffix, grow_v - 2 * uv, grow_v - 2 * prefix,
-    )
-
-
 def _shortening(u: str, v: str) -> int | None:
     """The first move that shortens (u, v), or None.
 
@@ -105,64 +87,57 @@ def _shortening(u: str, v: str) -> int | None:
     return None
 
 
-def _plateau(
-    start: tuple[str, str], total: int
-) -> tuple[tuple[str, str], list[int]] | None:
-    """Breadth-first search over the pairs of total length ``total``
-    reachable from ``start``, up to the first that a move shortens.
-
-    Returns the shorter pair and the moves from ``start`` to it, or None
-    when no pair of this length shortens.  Only moves that keep the
-    length are built.
-    """
-    parents: dict[tuple[str, str], tuple[tuple[str, str], int] | None]
-    parents = {start: None}
-    queue = deque([start])
-    while queue:
-        current = queue.popleft()
-        sizes = _move_sizes(*current)
-        for index, size in enumerate(sizes):
-            if size < total:
-                found = _move(*current, index)
-                path = [index]
-                node = current
-                while node != start:
-                    node, index = parents[node]
-                    path.append(index)
-                path.reverse()
-                return found, path
-        for index, size in enumerate(sizes):
-            if size == total:
-                candidate = _move(*current, index)
-                if candidate not in parents:
-                    parents[candidate] = (current, index)
-                    queue.append(candidate)
-    return None
-
-
 def _descend(u: str, v: str) -> tuple[str, str, list[int]] | None:
     """Nielsen-descend an image pair to total length two.
 
-    Strictly shortening moves are preferred, the first in move order;
-    when none applies, states of equal total length are explored
-    breadth-first until one admits a shortening move.  Returns the
-    terminal pair and the move indices taken; None when the descent
-    stalls, which happens exactly for non-bases.
+    Each step takes the first strictly shortening move in move order.
+    Returns the terminal pair and the move indices taken; None when the
+    descent stalls, which happens exactly for non-bases:
+
+    >>> _descend("AB", "B")
+    ('A', 'B', [1])
+    >>> _descend("AB", "BA") is None
+    True
+
+    A basis (u, v) with |u| + |v| > 2 always has a shortening move.  The
+    proof uses Nielsen reduction (Lyndon-Schupp, Combinatorial Group
+    Theory, Ch. I, Sec. 2), with conditions N1: x != 1, N2: |xy| >= |x|
+    and |xy| >= |y|, N3: |xyz| > |x| - |y| + |z| on {u, v}^+-1 whenever
+    no product is 1, and the commutator criterion behind
+    ``is_basis_pair`` (Cohen-Metzler-Zimmermann, Math. Ann. 1981).
+    Suppose no move shortens the basis (u, v) of total above two.
+
+    1. N1 holds, as a basis has no trivial element, and so does N2: x*x
+       never shortens, and the eight moves are exactly the other tests.
+    2. N3 fails: otherwise {u, v} is N-reduced and generates F, and as a
+       reduced product of n >= 1 of u^+-1, v^+-1 has length >= n, A and
+       B lie in {u^+-1, v^+-1}, making the total two.
+    3. Under N2 at most |y|/2 letters of the middle y of a failing
+       triple x*y*z cancel into x and at most |y|/2 into z, so exactly
+       half cancel each way: y = pq with |p| = |q| = k >= 1, x ends
+       with p^-1 and z starts with q^-1.  Then x = y, z = y and
+       x = z^-1 are impossible, as each makes y = pq unreduced.
+    4. So x = z and, up to swapping u and v and inverting either,
+       v = pq and u = x starts with q^-1 and ends with p^-1.
+    5. If |u| < 2k, u*v cancels at least k > |u|/2 letters, so move 6
+       (v -> uv) shortens.
+    6. If |u| = 2k, then u = v^-1, not a basis.
+    7. If |u| > 2k, write u = q^-1 m p^-1 with m != 1.  By N2 exactly k
+       letters cancel in u*v and in v*u, so mq and pm are reduced; since
+       u is reduced, so are q^-1 m and m p^-1.
+    8. Conjugating by q, [u, v] ~ [m (qp)^-1, qp] = [m, w], where w is
+       the free reduction of qp.  As q != p^-1, |w| >= 2, and w starts
+       with q[0] and ends with p[-1].
+    9. By the four facts of step 7, m w m^-1 w^-1 is cyclically reduced,
+       of length 2|m| + 2|w| >= 6, but a basis commutator has length 4.
     """
     moves: list[int] = []
-    total = len(u) + len(v)
-    while total > 2:
+    while len(u) + len(v) > 2:
         index = _shortening(u, v)
-        if index is not None:
-            moves.append(index)
-            u, v = _move(u, v, index)
-        else:
-            step = _plateau((u, v), total)
-            if step is None:
-                return None
-            (u, v), path = step
-            moves.extend(path)
-        total = len(u) + len(v)
+        if index is None:
+            return None
+        moves.append(index)
+        u, v = _move(u, v, index)
     if len(u) == 1 and len(v) == 1 and u.upper() != v.upper():
         return u, v, moves
     return None

@@ -3,7 +3,7 @@
 Both routines here avoid the exponent-shape reasoning used by
 ``primitivity`` so they can serve as independent referees: primitives
 are enumerated by closing {A} under the standard automorphism
-generators, and basis pairs are certified by explicit Nielsen length
+generators, and basis pairs are certified by greedy Nielsen length
 reduction.  That reduction is the same descent that
 ``Automorphism.inverse`` runs; what keeps it independent of
 ``is_basis_pair`` is that the latter is a commutator test, and the
@@ -70,13 +70,12 @@ def enumerate_primitives(max_len: int) -> frozenset[CyclicWord]:
 def brute_is_basis(u: Word, v: Word, budget: int = 32) -> bool:
     """Basis test by Nielsen length reduction, no commutator involved.
 
-    Replaces one word by its product with the other whenever that
-    shortens the pair, exploring equal-length states breadth-first when
-    no move shortens directly, until the pair is two distinct single
-    letters (a basis) or nothing helps (not a basis); this is
-    ``automorphisms._descend``, which reads each candidate's length off
-    the cancellation counts at the word boundaries and builds only the
-    candidate it takes.  A pair whose abelianization
+    Replaces one word by its product with the other, taking the first
+    move that shortens the pair, until the pair is two distinct single
+    letters (a basis) or no move shortens it (not a basis: every basis
+    longer than two letters has a shortening move, as the docstring of
+    ``automorphisms._descend`` proves).  This is the descent that
+    ``Automorphism.inverse`` runs.  A pair whose abelianization
     determinant is not +-1 is rejected up front; that is a necessary
     condition for a basis and keeps bulk sweeps fast.
 

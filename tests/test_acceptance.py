@@ -2,7 +2,8 @@
 
 Every check pits two independent routes against each other: the
 enumeration closure against the substitution decision procedure, the
-commutator basis test against explicit Nielsen descent, diagram words
+commutator basis test against explicit Nielsen descent and against a
+closure of the letter pairs under the Nielsen moves, diagram words
 against direct balanced construction, longitude arithmetic against a
 plain integer search, and the graph-shape recogniser against a
 conclusion-by-conclusion brute-force checker.  Expected counts are
@@ -116,15 +117,45 @@ def test_criterion_1_primitivity_matches_enumeration(capsys):
             f"{elapsed:.1f}s")
 
 
-def test_criterion_2_basis_routes_agree(capsys):
-    """Commutator basis test vs Nielsen descent, exhaustive then random.
+def _basis_closure(max_total):
+    """Ordered pairs reached from the 8 ordered letter pairs by the 8
+    elementary moves, keeping those of total length <= max_total.
 
-    All unordered pairs with total length <= 10, then 10000 pairs built
-    by random Nielsen moves from (A, B) capped at total length 16 (all
-    of which must be bases by construction), then perturbed variants of
-    those with no predetermined verdict.
+    Written with ``Word`` products, so it shares no move table and no
+    search with the descent behind ``brute_is_basis``.  Every basis
+    longer than two letters has a move that shortens it, and the moves
+    are closed under inverses, so bounding the closure at max_total
+    loses no basis of that total.
+    """
+    seeds = [(Word(x), Word(y)) for x in ALPHABET for y in ALPHABET
+             if x.upper() != y.upper()]
+    seen = set(seeds)
+    frontier = seeds
+    while frontier:
+        fresh = []
+        for u, v in frontier:
+            for pair in ((u * v, v), (u * ~v, v), (v * u, v), (~v * u, v),
+                         (u, v * u), (u, v * ~u), (u, u * v), (u, ~u * v)):
+                if len(pair[0]) + len(pair[1]) <= max_total and pair not in seen:
+                    seen.add(pair)
+                    fresh.append(pair)
+        frontier = fresh
+    return seen
+
+
+def test_criterion_2_basis_routes_agree(capsys):
+    """Commutator basis test vs Nielsen descent vs move closure,
+    exhaustive then random.
+
+    All unordered pairs with total length <= 10, where membership in the
+    closure of the letter pairs under the elementary moves must match
+    too, then 10000 pairs built by random Nielsen moves from (A, B)
+    capped at total length 16 (all of which must be bases by
+    construction), then perturbed variants of those with no
+    predetermined verdict.
     """
     start = time.perf_counter()
+    closure = _basis_closure(10)
     by_len = [[""]]
     for _ in range(10):
         level = []
@@ -143,7 +174,7 @@ def test_criterion_2_basis_routes_agree(capsys):
                 for v in vs[ui if i == j else 0:]:
                     pairs += 1
                     lhs = is_basis_pair(u, v)
-                    if lhs != brute_is_basis(u, v):
+                    if lhs != brute_is_basis(u, v) or lhs != ((u, v) in closure):
                         disagreements.append((u, v))
                     bases += lhs
 
@@ -187,9 +218,10 @@ def test_criterion_2_basis_routes_agree(capsys):
 
     elapsed = time.perf_counter() - start
     ok = (not disagreements and not walk_failures
-          and pairs == 787563 and bases == 3364)
+          and pairs == 787563 and bases == 3364 and len(closure) == 2 * 3364)
     _report(capsys, 2, ok,
             f"{pairs} exhaustive pairs with {bases} bases, "
+            f"{len(closure)} ordered bases in the move closure, "
             f"{len(pool)} walk pairs, {perturbed} perturbed pairs, "
             f"{len(disagreements) + len(walk_failures)} disagreements, "
             f"{elapsed:.1f}s")

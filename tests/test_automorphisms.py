@@ -2,13 +2,14 @@ import random
 from collections import deque
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from genus2pairs.automorphisms import (
     Automorphism,
+    _common_prefix,
+    _common_suffix,
     _descend,
     _move,
-    _move_sizes,
     _shortening,
     compose,
     nielsen_generators,
@@ -19,8 +20,10 @@ from genus2pairs.words import (
     CyclicWord,
     Word,
     _INV,
+    _cancellation,
     _invert,
     _join,
+    _reduce,
     cyclic_equal,
     cyclic_reduce,
 )
@@ -39,17 +42,42 @@ def from_moves(moves):
 automorphisms = move_lists.map(from_moves)
 
 
-def walk_automorphisms(count, seed):
-    """Automorphisms reached by seeded random walks on the Nielsen generators."""
+def spell(choices):
+    """The reduced word whose i-th letter is choice i, modulo the number
+    of letters that do not cancel the one before."""
+    word = ""
+    for choice in choices:
+        letters = [c for c in "AaBb" if not word or c != _INV[word[-1]]]
+        word += letters[choice % len(letters)]
+    return word
+
+
+def reduced_words(min_size, max_size):
+    return st.lists(st.integers(0, 3), min_size=min_size, max_size=max_size).map(spell)
+
+
+def is_reduced(letters):
+    return _reduce(letters) == letters
+
+
+def walk_automorphisms(count, seed, max_steps=20):
+    """Automorphisms reached by seeded random walks on the Nielsen
+    generators, each of 4 to ``max_steps - 1`` steps."""
     rng = random.Random(seed)
     gens = nielsen_generators()
     out = []
     for _ in range(count):
         f = Automorphism.identity()
-        for _ in range(rng.randrange(4, 20)):
+        for _ in range(rng.randrange(4, max_steps)):
             f = compose(f, rng.choice(gens))
         out.append(f)
     return out
+
+
+@pytest.fixture(scope="module")
+def long_walks():
+    """Walk bases of 11 to 25,027 letters, half of them above 265."""
+    return walk_automorphisms(20, seed=41, max_steps=150)
 
 
 class TestConstruction:
@@ -69,6 +97,9 @@ class TestConstruction:
         f = Automorphism(Word("AB"), Word("B"))
         assert f.to_json() == {"A": "AB", "B": "B"}
         assert Automorphism.from_json(f.to_json()) == f
+
+    def test_str(self):
+        assert str(Automorphism("AB", "B")) == "A -> AB, B -> B"
 
 
 class TestApply:
@@ -128,6 +159,10 @@ class TestComposeInvert:
         assert compose(Automorphism.identity(), f) == f
         assert compose(f, Automorphism.identity()) == f
 
+    def test_mul_is_compose(self):
+        f = Automorphism("AB", "B")
+        assert f * f == compose(f, f) == Automorphism("ABB", "B")
+
     def test_swap_is_an_involution(self):
         swap = Automorphism(Word("B"), Word("A"))
         assert compose(swap, swap) == Automorphism.identity()
@@ -173,7 +208,9 @@ class TestMoveIndices:
         u, v = f.image_a.letters, f.image_b.letters
         final_u, final_v, moves = _descend(u, v)
         for index in moves:
+            total = len(u) + len(v)
             u, v = _move(u, v, index)
+            assert len(u) + len(v) < total
         assert (u, v) == (final_u, final_v)
 
     @given(automorphisms)
@@ -182,6 +219,10 @@ class TestMoveIndices:
 
     def test_replay_on_walk_bases(self):
         for f in walk_automorphisms(40, seed=29):
+            self.check_replay(f)
+
+    def test_replay_on_long_walk_bases(self, long_walks):
+        for f in long_walks:
             self.check_replay(f)
 
     @given(automorphisms, st.integers(0, 7))
@@ -217,6 +258,11 @@ def reference_moves(u, v):
         (u, _join(u, v)),
         (u, _join(inv_u, v)),
     ]
+
+
+def reference_sizes(u, v):
+    """Total length of each reference candidate."""
+    return [len(x) + len(y) for x, y in reference_moves(u, v)]
 
 
 def reference_descend(u, v):
@@ -304,17 +350,24 @@ class TestCountedDescent:
         for u, v in PAIRS:
             built = [_move(u, v, index) for index in range(8)]
             assert built == reference_moves(u, v)
-            assert _move_sizes(u, v) == tuple(len(x) + len(y) for x, y in built)
+            # Move i with count c: |u| + 2|v| - 2c for i < 4, else 2|u| + |v| - 2c.
+            uv, vu = _cancellation(u, v), _cancellation(v, u)
+            prefix, suffix = _common_prefix(u, v), _common_suffix(u, v)
+            grow_u, grow_v = len(u) + 2 * len(v), 2 * len(u) + len(v)
+            assert reference_sizes(u, v) == [
+                grow_u - 2 * uv, grow_u - 2 * suffix, grow_u - 2 * vu, grow_u - 2 * prefix,
+                grow_v - 2 * vu, grow_v - 2 * suffix, grow_v - 2 * uv, grow_v - 2 * prefix,
+            ]
 
     def test_shortening_is_the_first_shorter_move(self):
         for u, v in PAIRS:
             total = len(u) + len(v)
-            shorter = [i for i, size in enumerate(_move_sizes(u, v)) if size < total]
+            shorter = [i for i, size in enumerate(reference_sizes(u, v)) if size < total]
             assert _shortening(u, v) == (shorter[0] if shorter else None)
 
     def test_shortening_takes_move_order_over_length(self):
         # Move 5 leaves a shorter pair than move 1, which comes first.
-        assert _move_sizes("AA", "AAA") == (8, 4, 8, 4, 7, 3, 7, 3)
+        assert reference_sizes("AA", "AAA") == [8, 4, 8, 4, 7, 3, 7, 3]
         assert _shortening("AA", "AAA") == 1
 
     def test_descent_matches_reference_on_small_pairs(self):
@@ -325,3 +378,41 @@ class TestCountedDescent:
         for f in walk_automorphisms(40, seed=29):
             u, v = f.image_a.letters, f.image_b.letters
             assert _descend(u, v) == reference_descend(u, v)
+
+    def test_descent_matches_reference_on_long_walk_bases(self, long_walks):
+        for f in long_walks:
+            u, v = f.image_a.letters, f.image_b.letters
+            assert _descend(u, v) == reference_descend(u, v)
+
+
+class TestShorteningProof:
+    """Steps 4 to 9 of the proof in ``_descend``: v = pq with |p| = |q| = k,
+    u starts with q^-1 and ends with p^-1, the only shape in which N2
+    holds and N3 fails.  Any reduced u and 1 <= k <= |u| with pq
+    reduced give one."""
+
+    @given(reduced_words(1, 16).flatmap(
+        lambda u: st.tuples(st.just(u), st.integers(1, len(u)))))
+    @example(("bABa", 1))
+    @example(("ABA", 2))
+    @example(("baba", 2))
+    def test_stuck_pairs_are_not_bases(self, case):
+        u, k = case
+        q, p = _invert(u[:k]), _invert(u[-k:])
+        v = p + q
+        assume(is_reduced(v))
+        assert _shortening(u, v) is not None or not is_basis_pair(Word(u), Word(v))
+        if len(u) < 2 * k:
+            # Step 5: u*v cancels at least k > |u|/2 letters.
+            assert 2 * _cancellation(u, v) > len(u)
+            assert _shortening(u, v) is not None
+        elif len(u) == 2 * k:
+            # Step 6.
+            assert u == _invert(v)
+        else:
+            m = u[k:-k]
+            if is_reduced(m + q) and is_reduced(p + m):
+                # Steps 8 and 9: the commutator's core is m w m^-1 w^-1.
+                w = _join(q, p)
+                core, _ = cyclic_reduce(Word(u) * Word(v) * ~Word(u) * ~Word(v))
+                assert len(core) == 2 * len(m) + 2 * len(w) >= 6

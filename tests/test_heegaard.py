@@ -473,6 +473,9 @@ class TestSerialization:
         g = fig5c_graph()
         assert HGraph.from_json(g.to_json()).to_json() == g.to_json()
 
+    def test_repr(self):
+        assert repr(HGraph({"A+A-": 1})) == "HGraph({'alpha': {'A+A-': 1}})"
+
     def test_json_key_order_deterministic(self):
         g = fig5c_graph()
         assert list(g.to_json()["alpha"]) == ["A+A-", "A+B-", "A-B+"]

@@ -91,6 +91,12 @@ class TestHandleConstraints:
         d = self.build([Band(1, 1), Band(1, 3), Band(1, 2)])
         assert "BandSumViolation" not in kinds(validate(d))
 
+    def test_three_band_outer_gcd(self):
+        d = self.build([Band(1, 2), Band(1, 4), Band(1, 2)])
+        assert [str(v) for v in validate(d) if v.kind != "EndpointBalance"] == [
+            "GcdViolation: handle A outer labels 2, 2 are not coprime",
+        ]
+
     def test_full_label_determinant(self):
         d = self.build([Band(1, 3, 1), Band(1, 1, 1)])
         assert "DetViolation" in kinds(validate(d))
@@ -558,6 +564,18 @@ class TestViolationMessages:
             "UnknownEndpoint: arc 0 touches missing band C.0.+",
             "OpenCurve: curve alpha breaks between step 0 (exits A.0.+) and "
             "step 1 (enters C.0.+)",
+        ]
+
+    def test_arc_bad_multiplicity(self):
+        d = build_canonical(CanonicalParams.fig1a())
+        d.arcs = (Arc(d.arcs[0].start, d.arcs[0].stop, 0),) + d.arcs[1:]
+        assert [str(v) for v in validate(d)] == [
+            "BadMultiplicity: arc 0 has multiplicity 0",
+            "EndpointBalance: band end A.0.+ carries 0 arc strands but the "
+            "band has multiplicity 1",
+            "EndpointBalance: band end A.0.- carries 0 arc strands but the "
+            "band has multiplicity 1",
+            "SlotUsage: arc 0 has multiplicity 0 but is used 1 times",
         ]
 
     def test_slot_usage(self):
