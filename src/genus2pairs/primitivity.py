@@ -3,16 +3,15 @@
 A word is primitive when it is part of some free basis.  By
 Osborne-Zieschang ("Primitives in the free group on two generators",
 Invent. Math. 1981) and Cohen-Metzler-Zimmermann ("What does a basis of
-F(a,b) look like?", Math. Ann. 1981), a cyclically reduced word with
-abelianization (x, y), x, y != 0, is primitive exactly when gcd(x, y)
-is 1, each generator occurs with one sign only, and the word is
-balanced: any two cyclic factors of one length hold the same number of
-each letter, give or take one.  Such a word is a conjugate of a signed
-Christoffel word.  ``is_primitive`` decides balance by Euclid's
-algorithm on the gaps between occurrences of the rarer letter, using
-string splits and joins only; ``primitive_form`` reads its exponent
-shape off the same gaps.  The closure enumeration in ``oracle`` is
-kept as an independent certificate.
+F(a,b) look like?", Math. Ann. 1981), a primitive is determined up to
+conjugacy by its abelianization (x, y), where gcd(x, y) = 1: its cyclic
+core is a rotation of the signed Christoffel word (Berstel et al.,
+"Combinatorics on Words: Christoffel Words and Repetitions in Words",
+2008), which ``words._christoffel`` builds by Euclid's algorithm.  That
+is the test ``is_primitive`` makes.  ``primitive_form`` reads the
+exponent shape off the gaps between occurrences of the rarer letter.
+The closure enumeration in ``oracle`` is kept as an independent
+certificate.
 """
 
 from __future__ import annotations
@@ -26,6 +25,7 @@ from .words import (
     Word,
     _abelianization,
     _canonical_rotation,
+    _christoffel,
     _cyclic_core,
     _invert,
     _join,
@@ -103,44 +103,16 @@ def _gaps(cycle: str, separator: str) -> list[int]:
     return list(map(len, (cycle[start + 1:] + cycle[:start]).split(separator)))
 
 
-def _balanced(cycle: str, separator: str) -> bool:
-    """True iff a cyclic word in two symbols is balanced and not a power.
-
-    The gaps are the numbers of other symbols between consecutive
-    separators, read cyclically.  They must take two values that differ
-    by one; the rarer value then becomes the separator of a word with
-    one symbol per gap.  That is the inverse of a Sturmian substitution,
-    so balance and aperiodicity carry over in both directions, and each
-    step is one step of Euclid's algorithm on the two symbol counts.
-
-    >>> _balanced("AABAAAB", "B"), _balanced("AABAAAAB", "B")
-    (True, False)
-    """
-    while True:
-        gaps = _gaps(cycle, separator)
-        if len(gaps) == 1:
-            return True
-        low = min(gaps)
-        if max(gaps) != low + 1:
-            return False
-        if 2 * gaps.count(low) < len(gaps):
-            symbols = {low: "|", low + 1: "."}
-        else:
-            symbols = {low: ".", low + 1: "|"}
-        cycle = "".join(map(symbols.__getitem__, gaps))
-        separator = "|"
-
-
 def _is_primitive_core(letters: str) -> bool:
-    """Decide primitivity of a cyclically reduced letter string."""
+    """Decide primitivity of a cyclically reduced letter string.  The last
+    test implies the length test, which is there to reject words with both
+    signs of one generator before the Christoffel word is built."""
     x, y = _abelianization(letters)
-    if math.gcd(x, y) != 1:
-        return False
-    if not x or not y:
-        return len(letters) == 1
-    if len(letters) != abs(x) + abs(y):
-        return False  # both signs of one generator occur
-    return _balanced(letters, _rare_letter(x, y))
+    return (
+        math.gcd(x, y) == 1
+        and len(letters) == abs(x) + abs(y)
+        and letters in _christoffel(x, y) * 2
+    )
 
 
 def is_primitive(word: Word | CyclicWord) -> bool:

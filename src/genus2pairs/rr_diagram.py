@@ -29,7 +29,7 @@ from .errors import (
     UnknownCurveError,
     UnlabeledBandError,
 )
-from .words import CyclicWord, check_budget
+from .words import CyclicWord, _christoffel, check_budget
 
 HANDLES = ("A", "B")
 ENDS = ("+", "-")
@@ -80,6 +80,13 @@ class ArcStep(NamedTuple):
 
 
 Step = Union[TraverseStep, ArcStep]
+
+
+def _exact_int(value, what: str) -> int:
+    """An exact integer; floats, strings and booleans are rejected."""
+    if type(value) is not int:
+        raise InvalidParamsError(f"{what} must be an integer, got {value!r}")
+    return value
 
 
 def _index(text: str) -> int:
@@ -425,6 +432,8 @@ class CanonicalParams(_Record, defaults=(None,) * 5):
                 raise InvalidParamsError(
                     f"fig2a needs exactly p and q, got {given}"
                 )
+            for name in given:
+                _exact_int(getattr(self, name), f"fig2a parameter {name}")
             if self.p == 0:
                 raise InvalidParamsError("fig2a needs p != 0")
             if math.gcd(self.p, self.q) != 1:
@@ -437,6 +446,8 @@ class CanonicalParams(_Record, defaults=(None,) * 5):
                 raise InvalidParamsError(
                     f"fig3a needs exactly a, b, p, eps, got {given}"
                 )
+            for name in given:
+                _exact_int(getattr(self, name), f"fig3a parameter {name}")
             if self.a < 1 or self.b < 1 or self.a + self.b < 2:
                 raise InvalidParamsError(
                     f"fig3a needs a, b >= 1 with a + b > 1, got ({self.a}, {self.b})"
@@ -459,23 +470,13 @@ class CanonicalParams(_Record, defaults=(None,) * 5):
         return self
 
 
-def _balanced_exponents(a: int, b: int, p: int, eps: int) -> list[int]:
-    """Exponent sequence with p appearing a times and p + eps b times.
-
-    The two values are interleaved as evenly as possible (the balanced
-    two-letter pattern), which is the arrangement a simple closed curve
-    can realize.
-    """
-    j = a + b
-    return [p + eps * ((i * b) // j - ((i - 1) * b) // j) for i in range(1, j + 1)]
-
-
 def alpha_word_fig3a(a: int, b: int, p: int, eps: int) -> CyclicWord:
     """The conjugacy class carried by the fig3a alpha curve."""
     CanonicalParams.fig3a(a, b, p, eps).validated()
     check_budget(a * p + b * (p + eps) + a + b, "letters in the fig3a alpha word")
-    exponents = _balanced_exponents(a, b, p, eps)
-    return CyclicWord("".join("A" * m + "B" for m in exponents))
+    # The balanced arrangement of the exponents is the one a curve realizes.
+    syllables = {ord("A"): "A" * p + "B", ord("B"): "A" * (p + eps) + "B"}
+    return CyclicWord(_christoffel(a, b).translate(syllables))
 
 
 def build_canonical(params: CanonicalParams) -> RRDiagram:
@@ -499,7 +500,7 @@ def build_canonical(params: CanonicalParams) -> RRDiagram:
     check_budget(4 * (a + b), "steps in the fig3a alpha walk")
     return _one_b_band(
         (Band(a, p, -eps), Band(b, p + eps, -eps)),
-        [0 if m == p else 1 for m in _balanced_exponents(a, b, p, eps)],
+        [0 if band == "A" else 1 for band in _christoffel(a, b)],
     )
 
 
@@ -557,17 +558,10 @@ def diagram_to_json(diagram: RRDiagram) -> dict:
     }
 
 
-def _json_int(value, what: str) -> int:
-    """An exact JSON integer; floats, strings and booleans are rejected."""
-    if type(value) is not int:
-        raise InvalidParamsError(f"{what} must be an integer, got {value!r}")
-    return value
-
-
 def diagram_from_json(data: dict) -> RRDiagram:
     try:
         def band_from(entry: dict) -> Band:
-            mult = _json_int(entry["mult"], "band multiplicity")
+            mult = _exact_int(entry["mult"], "band multiplicity")
             label = entry.get("label")
             if label is None:
                 return Band(mult, None, None)
@@ -575,10 +569,10 @@ def diagram_from_json(data: dict) -> RRDiagram:
                 raise InvalidParamsError(
                     f"band label has at most two entries, got {label!r}"
                 )
-            disk = _json_int(label[0], "band disk label")
+            disk = _exact_int(label[0], "band disk label")
             longitude = label[1] if len(label) > 1 else None
             if longitude is not None:
-                longitude = _json_int(longitude, "band longitude label")
+                longitude = _exact_int(longitude, "band longitude label")
             return Band(mult, disk, longitude)
 
         handles = {
@@ -592,7 +586,7 @@ def diagram_from_json(data: dict) -> RRDiagram:
             Arc(
                 parse_endpoint(entry["from"]),
                 parse_endpoint(entry["to"]),
-                _json_int(entry["mult"], "arc multiplicity"),
+                _exact_int(entry["mult"], "arc multiplicity"),
             )
             for entry in data.get("arcs", [])
         )

@@ -239,6 +239,34 @@ def _abelianization(letters: str) -> tuple[int, int]:
     )
 
 
+def _christoffel(x: int, y: int) -> str:
+    """The lower Christoffel word with |x| letters A and |y| letters B,
+    for coprime x and y, spelled a and b where a count is negative.
+
+    Euclid's algorithm cuts the larger count by k times the smaller one,
+    which undoes B -> A^k B (more A) or A -> A B^k (more B); those
+    substitutions, applied in reverse to the letter left over, build
+    the word.  Its rotations are the primitive class of slope (x, y).
+
+    >>> _christoffel(5, 3), _christoffel(-1, 2)
+    ('AABAABAB', 'aBB')
+    """
+    a, b = "Aa"[x < 0], "Bb"[y < 0]
+    p, q = abs(x), abs(y)
+    steps = []
+    while p and q:
+        if p > q:
+            k, p = divmod(p, q)
+            steps.append((b, a * k + b))
+        else:
+            k, q = divmod(q, p)
+            steps.append((a, a + b * k))
+    word = a if p else b
+    for letter, image in reversed(steps):
+        word = word.replace(letter, image)
+    return word
+
+
 def _coerce_letters(source) -> str:
     """Raw letters from a string, Word, CyclicWord, or letter iterable."""
     if isinstance(source, _LetterString):

@@ -9,7 +9,6 @@ from genus2pairs.automorphisms import nielsen_generators
 from genus2pairs.errors import EmptyWordError, SingleGeneratorError
 from genus2pairs.primitivity import (
     PrimitiveForm,
-    _balanced,
     as_proper_power,
     is_basis_pair,
     is_primitive,
@@ -20,6 +19,7 @@ from genus2pairs.words import (
     CyclicWord,
     Word,
     _abelianization,
+    _christoffel,
     _cyclic_core,
     _reduce,
     _runs,
@@ -396,8 +396,13 @@ class TestLongWordAgreement:
 
     @pytest.mark.parametrize("n", range(1, 12))
     def test_descent_decides_balance(self, n):
+        """A two-symbol cycle is balanced and aperiodic exactly when its
+        counts are coprime and it is a rotation of their Christoffel word."""
         for symbols in itertools.product("|.", repeat=n):
             cycle = "".join(symbols)
             if "|" in cycle:
                 expected = balanced_and_aperiodic(cycle, "|")
-                assert _balanced(cycle, "|") == expected, cycle
+                letters = cycle.translate(str.maketrans(".|", "AB"))
+                x, y = _abelianization(letters)
+                built = math.gcd(x, y) == 1 and letters in _christoffel(x, y) * 2
+                assert built == expected, cycle

@@ -1,5 +1,8 @@
+import re
+
 import pytest
 
+from genus2pairs.classifier import classify
 from genus2pairs.errors import (
     InvalidParamsError,
     UnknownCurveError,
@@ -186,6 +189,30 @@ class TestCanonicalParams:
     def test_unknown_variant(self):
         with pytest.raises(InvalidParamsError):
             CanonicalParams("fig9z").validated()
+
+    @pytest.mark.parametrize("bad", [2.5, 3.0, True, "3"], ids=repr)
+    @pytest.mark.parametrize("call", [
+        lambda bad: build_canonical(CanonicalParams.fig2a(bad, 1)),
+        lambda bad: classify(CanonicalParams.fig2a(2, bad)),
+        lambda bad: build_canonical(CanonicalParams.fig3a(1, 2, bad, 1)),
+        lambda bad: classify(CanonicalParams.fig3a(bad, 2, 3, 1)),
+        lambda bad: alpha_word_fig3a(1, 2, 3, bad),
+    ], ids=["build-fig2a-p", "classify-fig2a-q", "build-fig3a-p",
+            "classify-fig3a-a", "alpha-fig3a-eps"])
+    def test_non_integer_parameters(self, call, bad):
+        with pytest.raises(InvalidParamsError, match=r"parameter (p|q|a|eps) must be "
+                           r"an integer, got " + re.escape(repr(bad))):
+            call(bad)
+
+    def test_count_and_variant_checks_come_first(self):
+        with pytest.raises(InvalidParamsError, match="fig1a takes no parameters"):
+            CanonicalParams("fig1a", p=2.5).validated()
+        with pytest.raises(InvalidParamsError, match="fig2a needs exactly p and q"):
+            CanonicalParams("fig2a", p=2.5).validated()
+        with pytest.raises(InvalidParamsError, match="unknown variant"):
+            CanonicalParams("fig9z", p=2.5).validated()
+        with pytest.raises(InvalidParamsError, match="fig3a parameter b must be"):
+            CanonicalParams.fig3a(2, True, 2, 1).validated()
 
 
 class TestBuilders:

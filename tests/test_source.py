@@ -97,6 +97,13 @@ def test_cli_imports_no_command_modules():
     assert not loaded & heavy
 
 
+def test_diagrams_import_no_decisions():
+    """``rr_diagram`` builds its balanced words from the word kernel alone."""
+    loaded = _loaded_after_import("genus2pairs.rr_diagram")
+    assert "genus2pairs.rr_diagram" in loaded
+    assert not loaded & {"genus2pairs.primitivity", "genus2pairs.automorphisms"}
+
+
 @pytest.mark.parametrize("modules", [
     ("primitivity",), ("rr_diagram",), ("classifier",),
     ("oracle", "automorphisms"), ("heegaard",),

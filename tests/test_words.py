@@ -8,6 +8,8 @@ from hypothesis import assume, example, given, strategies as st
 
 from genus2pairs.classifier import separating_word
 from genus2pairs.errors import BudgetExceededError, EmptyWordError, InvalidWordError
+from genus2pairs.oracle import enumerate_primitives
+from genus2pairs.primitivity import is_primitive
 from genus2pairs.rr_diagram import (
     CanonicalParams,
     alpha_word_fig3a,
@@ -20,8 +22,10 @@ from genus2pairs.words import (
     Word,
     cyclic_equal,
     cyclic_reduce,
+    _abelianization,
     _canonical_rotation,
     _cancellation,
+    _christoffel,
     _invert,
     _join,
     _power_period,
@@ -531,3 +535,42 @@ class TestSubstitute:
     @given(words)
     def test_identity_substitution(self, w):
         assert substitute(w, Word("A"), Word("B")) == w
+
+
+def floor_christoffel(a, b):
+    """The lower Christoffel word by its floor formula: letter i, counted
+    from 1, is B exactly when floor(i * b / (a + b)) steps up.  This is
+    the fig3a pass pattern that ``rr build`` prints."""
+    n = a + b
+    return "".join("AB"[i * b // n - (i - 1) * b // n] for i in range(1, n + 1))
+
+
+class TestChristoffel:
+    def test_matches_floor_formula(self):
+        for a in range(1, 61):
+            for b in range(1, 61):
+                if gcd(a, b) == 1:
+                    assert _christoffel(a, b) == floor_christoffel(a, b), (a, b)
+
+    @given(st.integers(-300, 300), st.integers(-300, 300))
+    @example(1, 0)
+    @example(0, -1)
+    @example(-1, -1)
+    @example(-89, 55)
+    def test_signed_counts_build_a_primitive(self, x, y):
+        assume(gcd(x, y) == 1)
+        letters = _christoffel(x, y)
+        assert len(letters) == abs(x) + abs(y)
+        assert _abelianization(letters) == (x, y)
+        assert is_primitive(Word(letters))
+
+    def test_classes_are_the_closure(self):
+        """The signed Christoffel classes are every primitive class, as the
+        closure in ``oracle`` finds them."""
+        built = {
+            CyclicWord(_christoffel(x, y))
+            for x in range(-10, 11)
+            for y in range(-10, 11)
+            if gcd(x, y) == 1 and abs(x) + abs(y) <= 10
+        }
+        assert built == enumerate_primitives(10)
