@@ -152,12 +152,11 @@ def as_proper_power(word: Word | CyclicWord) -> tuple[CyclicWord, int] | None:
     Returns (root, k) with the root cut to its shortest period, or None
     when the word is not a proper power.  Conjugation invariant.
     """
-    if isinstance(word, CyclicWord):
-        letters = word.letters
-    else:
-        letters = _canonical_rotation(_cyclic_core(word.letters))
+    cyclic = isinstance(word, CyclicWord)
+    letters = word.letters if cyclic else _cyclic_core(word.letters)
     period = _power_period(letters)
     if period == len(letters):
         return None
-    # A least rotation of root**k is the least rotation of root, k times.
-    return CyclicWord._raw(letters[:period]), len(letters) // period
+    # The least rotation of root**k is the least rotation of root, k times.
+    root = letters[:period] if cyclic else _canonical_rotation(letters[:period])
+    return CyclicWord._raw(root), len(letters) // period

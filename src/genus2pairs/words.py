@@ -9,7 +9,11 @@ Two immutable types are provided.  ``Word`` keeps its letters freely
 reduced.  ``CyclicWord`` models a conjugacy class: it is cyclically
 reduced and stored in a canonical rotation, the lexicographically least
 one under the letter order A < a < B < b, so equality and hashing are
-rotation blind.
+rotation blind.  Both constructors trust these normal forms: the letters
+of a ``Word`` or ``CyclicWord`` argument are not scanned for cancelling
+pairs again, and ``CyclicWord(CyclicWord)`` copies them.  ``Word ** n``
+splits the word as conjugator * core * conjugator^-1 and repeats only
+the core, so a power is never reduced after it is written out.
 """
 
 from __future__ import annotations
@@ -95,7 +99,12 @@ def parse_letters(text: str) -> str:
 
 def _reduce(letters: str) -> str:
     """Freely reduce a letter string by cancelling adjacent inverse pairs."""
-    if not ("Aa" in letters or "aA" in letters or "Bb" in letters or "bB" in letters):
+    # A generator can cancel only if both its signs occur, which one-letter
+    # tests (memchr) show faster than the two-letter scans.
+    if not (
+        ("a" in letters and "A" in letters and ("Aa" in letters or "aA" in letters))
+        or ("b" in letters and "B" in letters and ("Bb" in letters or "bB" in letters))
+    ):
         return letters
     stack: list[str] = []
     push = stack.append
@@ -267,17 +276,18 @@ def _christoffel(x: int, y: int) -> str:
     return word
 
 
-def _coerce_letters(source) -> str:
-    """Raw letters from a string, Word, CyclicWord, or letter iterable."""
+def _reduced_letters(source) -> str:
+    """Freely reduced letters of a string, letter iterable, Word or
+    CyclicWord; the last two are reduced already and are not scanned."""
+    if isinstance(source, str):
+        return _reduce(parse_letters(source))
     if isinstance(source, _LetterString):
         return source.letters
-    if isinstance(source, str):
-        return parse_letters(source)
     letters = "".join(source)
     bad = set(letters) - set(LETTERS)
     if bad:
         raise InvalidWordError(f"invalid letters {sorted(bad)!r}")
-    return letters
+    return _reduce(letters)
 
 
 class Syllable(NamedTuple):
@@ -328,7 +338,8 @@ class _LetterString:
 
 
 class Word(_LetterString):
-    """A freely reduced word.  The constructor reduces its input.
+    """A freely reduced word.  The constructor reduces a string or letter
+    iterable; a Word or CyclicWord is reduced already.
 
     >>> Word("AAb") * Word("BA")
     Word('AAA')
@@ -341,7 +352,7 @@ class Word(_LetterString):
     __slots__ = ()
 
     def __init__(self, source="") -> None:
-        self._letters = _reduce(_coerce_letters(source))
+        self._letters = _reduced_letters(source)
 
     def __mul__(self, other: "Word") -> "Word":
         return Word._raw(_join(self._letters, other.letters))
@@ -351,10 +362,14 @@ class Word(_LetterString):
 
     def __pow__(self, n: int) -> "Word":
         check_budget(len(self._letters) * abs(n), "letters in a power of a word")
-        if not n or not self._letters:
+        s = self._letters
+        if not n or not s:
             return Word._raw("")
-        base = self._letters if n >= 0 else _invert(self._letters)
-        return Word._raw(_reduce(base * abs(n)))
+        # s = c * core * c^-1, so s**n = c * core**n * c^-1, reduced as written.
+        core = _cyclic_core(s)
+        strip = (len(s) - len(core)) // 2
+        base = core if n > 0 else _invert(core)
+        return Word._raw(s[:strip] + base * abs(n) + s[strip + len(core):])
 
     def __iter__(self) -> Iterator[str]:
         return iter(self._letters)
@@ -372,8 +387,10 @@ class CyclicWord(_LetterString):
     __slots__ = ()
 
     def __init__(self, source="") -> None:
-        core = _cyclic_core(_reduce(_coerce_letters(source)))
-        self._letters = _canonical_rotation(core)
+        if isinstance(source, CyclicWord):
+            self._letters = source._letters
+        else:
+            self._letters = _canonical_rotation(_cyclic_core(_reduced_letters(source)))
 
     def to_word(self) -> Word:
         """The canonical rotation as an ordinary word."""

@@ -21,6 +21,7 @@ from genus2pairs.words import (
     _abelianization,
     _christoffel,
     _cyclic_core,
+    _invert,
     _reduce,
     _runs,
     substitute,
@@ -261,6 +262,20 @@ class TestAsProperPower:
         root, power = result
         assert root.to_word() ** power == CyclicWord(core.to_word() ** k).to_word()
         assert power % k == 0 and power >= k
+
+
+    @given(
+        st.text(alphabet="AaBb", max_size=20),
+        st.text(alphabet="AaBb", min_size=1, max_size=70),
+        st.integers(1, 5),
+        st.integers(0, 400),
+    )
+    def test_word_path_matches_cyclic_path(self, conj, root, k, shift):
+        # A conjugated, rotated power, often past 64 letters.
+        power = root * k
+        shift %= len(power)
+        letters = conj + power[shift:] + power[:shift] + _invert(conj)
+        assert as_proper_power(Word(letters)) == as_proper_power(CyclicWord(letters))
 
 
 class TestTrichotomy:

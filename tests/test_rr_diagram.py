@@ -1,4 +1,5 @@
 import re
+from math import gcd
 
 import pytest
 
@@ -275,6 +276,114 @@ class TestBuilders:
             assert len(beta) == 2
             assert isinstance(beta[0], TraverseStep) and beta[0].handle == "B"
             assert isinstance(beta[1], ArcStep)
+
+
+def per_pass_walk(passes, n):
+    """The fig2a/fig3a alpha walk written out one pass at a time: band
+    ``passes[i]`` of A, its arc to B, the band of B, and the arc back to
+    the band of the next pass; ``n`` is the number of A bands."""
+    alpha = []
+    for band, band_next in zip(passes, passes[1:] + passes[:1]):
+        alpha += (
+            TraverseStep("A", band, 1), ArcStep(band, 1),
+            TraverseStep("B", 0, 1), ArcStep(n + band_next, 1),
+        )
+    return tuple(alpha)
+
+
+def floor_passes(a, b):
+    """fig3a pass pattern by the floor formula: pass i, counted from 1,
+    takes band 1 (multiplicity b) exactly when floor(i * b / (a + b))
+    steps up."""
+    n = a + b
+    return [i * b // n - (i - 1) * b // n for i in range(1, n + 1)]
+
+
+class TestAlphaWalk:
+    """The builder's alpha walk against the walk written pass by pass."""
+
+    @staticmethod
+    def check(params, passes, n):
+        walk = build_canonical(params).curves["alpha"]
+        expected = per_pass_walk(passes, n)
+        assert walk == expected, params
+        # Equal tuples could still mix up the two step types.
+        assert [step.token() for step in walk] == [step.token() for step in expected]
+
+    @pytest.mark.parametrize("eps", [1, -1])
+    def test_fig3a_every_small_coprime_pair(self, eps):
+        for a in range(1, 31):
+            for b in range(1, 31):
+                if gcd(a, b) == 1 and a + b > 1:
+                    self.check(CanonicalParams.fig3a(a, b, 3, eps), floor_passes(a, b), 2)
+
+    @pytest.mark.parametrize("p, q", [(2, 1), (-3, 1), (1, 0), (7, -5)])
+    def test_fig2a(self, p, q):
+        self.check(CanonicalParams.fig2a(p, q), [0], 1)
+
+
+class TestIntegerLabels:
+    """Bands built by hand must carry exact integers, as JSON input must."""
+
+    @staticmethod
+    def diagram(bands_a, bands_b=(Band(1, 1),)):
+        return RRDiagram(
+            HandleLabel("A", bands_a),
+            HandleLabel("B", bands_b),
+            curves={"alpha": (TraverseStep("A", 0, 1),)},
+        )
+
+    @staticmethod
+    def refused(call, message):
+        with pytest.raises(InvalidParamsError) as info:
+            call()
+        assert str(info.value) == message
+
+    def test_float_disk_label_in_validate(self):
+        d = self.diagram((Band(1, 2.0), Band(1, 3)))
+        self.refused(lambda: validate(d), "band A.0 disk label must be an integer, got 2.0")
+
+    def test_float_disk_label_in_trace_word(self):
+        d = self.diagram((Band(1, 2.5),))
+        self.refused(
+            lambda: trace_word(d, "alpha"),
+            "band A.0 disk label must be an integer, got 2.5",
+        )
+
+    def test_float_multiplicity(self):
+        d = build_canonical(CanonicalParams.fig2a(3, 1))
+        d.handle_a = HandleLabel("A", (Band(1.5, 3, 1),))
+        message = "band A.0 multiplicity must be an integer, got 1.5"
+        self.refused(lambda: validate(d), message)
+        self.refused(lambda: trace_word(d, "alpha"), message)
+
+    @pytest.mark.parametrize("bands_b, message", [
+        ((Band(1, 1, True),), "band B.0 longitude label must be an integer, got True"),
+        ((Band("1", 1),), "band B.0 multiplicity must be an integer, got '1'"),
+        ((Band(1, None), Band(1, 3.0)), "band B.1 disk label must be an integer, got 3.0"),
+    ])
+    def test_handle_b_and_other_labels(self, bands_b, message):
+        d = self.diagram((Band(1, 2),), bands_b)
+        self.refused(lambda: validate(d), message)
+        self.refused(lambda: trace_word(d, "alpha"), message)
+
+    def test_unlabeled_bands_stay_violations(self):
+        d = self.diagram((Band(1, None), Band(1, 2)))
+        assert "UnlabeledBand" in kinds(validate(d))
+
+    # diagram_from_json checks in this order: multiplicity, label size,
+    # disk label, longitude label.
+    @pytest.mark.parametrize("band, message", [
+        ({"mult": 1.5, "label": [1, 2, 3]}, "band multiplicity must be an integer, got 1.5"),
+        ({"mult": 1, "label": [1.5, 2, 3]}, "band label has at most two entries, got [1.5, 2, 3]"),
+        ({"mult": 1, "label": [2.0, 0.5]}, "band disk label must be an integer, got 2.0"),
+        ({"mult": 1, "label": [2, 0.5]}, "band longitude label must be an integer, got 0.5"),
+        ({"mult": True, "label": None}, "band multiplicity must be an integer, got True"),
+    ])
+    def test_json_messages(self, band, message):
+        data = diagram_to_json(build_canonical(CanonicalParams.fig2a(3, 1)))
+        data["handles"]["A"]["bands"] = [band]
+        self.refused(lambda: diagram_from_json(data), message)
 
 
 class TestTraceWord:

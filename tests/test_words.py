@@ -189,6 +189,25 @@ class TestParsing:
         assert parse_letters("B^0000000000000002") == "BB"
 
 
+# Words that are not cyclically reduced: a conjugator around a core,
+# with cores from a few letters to thousands, past the short-word cutoff.
+conjugated_strings = st.builds(
+    lambda conj, core: conj + core + _invert(conj),
+    st.text(alphabet="AaBb", min_size=1, max_size=20),
+    st.one_of(st.text(alphabet="AaBb", max_size=20), long_rotation_inputs),
+)
+# Strings over alphabets with one or both signs of each generator, so
+# that strings with nothing to cancel and strings with pairs both occur.
+sign_mixes = st.sampled_from(
+    ["A", "AB", "Ab", "aB", "ab", "AaB", "Aab", "ABb", "aBb", "AaBb"]
+).flatmap(lambda alphabet: st.text(alphabet=alphabet, max_size=300))
+
+
+def repeated(letters, n):
+    """letters**n spelled out: letters n times, or their inverse -n times."""
+    return letters * n if n >= 0 else _invert(letters) * -n
+
+
 class TestKernelFastPaths:
     """Each short cut of the word kernel against its plain definition."""
 
@@ -232,6 +251,21 @@ class TestKernelFastPaths:
         assert reduced == stack_reduce(s)
         for x, y in zip(reduced, reduced[1:]):
             assert x != y.swapcase()
+
+    @given(st.one_of(sign_mixes, conjugated_strings))
+    def test_reduce_on_one_sign_and_mixed_strings(self, s):
+        assert _reduce(s) == stack_reduce(s)
+
+    @given(st.one_of(letter_strings, conjugated_strings), st.integers(-4, 4))
+    def test_pow_is_the_reduced_repetition(self, s, n):
+        assert (Word(s) ** n).letters == stack_reduce(repeated(s, n))
+
+    @given(st.one_of(letter_strings, conjugated_strings))
+    def test_cyclic_word_trusts_word_and_cyclic_word(self, s):
+        expected = CyclicWord(s).letters
+        assert CyclicWord(Word(s)).letters == expected
+        assert CyclicWord(CyclicWord(s)).letters == expected
+        assert Word(CyclicWord(s)).letters == expected
 
     @given(st.text(alphabet="AaBb", max_size=30))
     def test_parse_plain_caret_and_padded_forms(self, s):
