@@ -25,33 +25,23 @@ from .errors import InvalidParamsError, ParityViolationError
 
 VERTICES = ("A+", "A-", "B+", "B-")
 CURVES = ("alpha", "beta")
-_VERTEX_INDEX = {v: i for i, v in enumerate(VERTICES)}
 
 SLOTS = tuple(combinations_with_replacement(VERTICES, 2))
-
-
-def _slot(v: str, w: str) -> tuple[str, str]:
-    if v not in _VERTEX_INDEX or w not in _VERTEX_INDEX:
-        raise ValueError(f"unknown vertex in edge ({v!r}, {w!r})")
-    return (v, w) if _VERTEX_INDEX[v] <= _VERTEX_INDEX[w] else (w, v)
-
-
-def _parse_slot_key(key) -> tuple[str, str]:
-    if isinstance(key, str):
-        v, w = key[:2], key[2:]
-        if v not in _VERTEX_INDEX or w not in _VERTEX_INDEX:
-            raise ValueError(f"cannot parse edge key {key!r}")
-    else:
-        v, w = key
-    return _slot(v, w)
-
-
-# The slot of each of the 32 valid edge keys, "v"+"w" and (v, w).  The
-# constructor hands any other key to _parse_slot_key, which raises for
-# every malformed one.
+# The slot of each of the 32 valid edge keys, "v"+"w" and (v, w) either way.
 _SLOT_OF_KEY = {
-    key: _slot(v, w) for v in VERTICES for w in VERTICES for key in (v + w, (v, w))
+    key: (v, w) for v, w in SLOTS for key in (v + w, w + v, (v, w), (w, v))
 }
+
+
+def _slot(key) -> tuple[str, str]:
+    """The slot of an edge key; ValueError for any key outside the table."""
+    slot = _SLOT_OF_KEY.get(key)
+    if slot is None:
+        if isinstance(key, str):
+            raise ValueError(f"cannot parse edge key {key!r}")
+        v, w = key
+        raise ValueError(f"unknown vertex in edge ({v!r}, {w!r})")
+    return slot
 
 
 def _degrees(edges: dict[tuple[str, str], int]) -> dict[str, int]:
@@ -82,7 +72,8 @@ class HGraph:
                 if mult < 0:
                     raise ValueError(f"negative multiplicity for {key!r}")
                 if mult:
-                    slot = _SLOT_OF_KEY.get(key) or _parse_slot_key(key)
+                    # One inline table read per edge; _slot raises for the rest.
+                    slot = _SLOT_OF_KEY.get(key) or _slot(key)
                     edges[slot] = edges.get(slot, 0) + mult
             self._edges[name] = edges
         if check_parity:
@@ -95,7 +86,7 @@ class HGraph:
         return tuple(name for name in CURVES if name in self._edges)
 
     def multiplicity(self, curve: str, v: str, w: str) -> int:
-        return self._edges.get(curve, {}).get(_slot(v, w), 0)
+        return self._edges.get(curve, {}).get(_slot((v, w)), 0)
 
     def edges(self, curve: str) -> dict[tuple[str, str], int]:
         return dict(self._edges.get(curve, {}))
@@ -130,7 +121,7 @@ class HGraph:
         graph = HGraph.__new__(HGraph)
         graph._edges = {
             curve: {
-                _slot(mapping[v], mapping[w]): mult
+                _SLOT_OF_KEY[mapping[v], mapping[w]]: mult
                 for (v, w), mult in edges.items()
             }
             for curve, edges in self._edges.items()

@@ -3,10 +3,10 @@
 Both routines here avoid the exponent-shape reasoning used by
 ``primitivity`` so they can serve as independent referees: primitives
 are enumerated by closing {A} under the standard automorphism
-generators, and basis pairs are certified by greedy Nielsen length
-reduction.  That reduction is the same descent that
-``Automorphism.inverse`` runs; what keeps it independent of
-``is_basis_pair`` is that the latter is a commutator test, and the
+generators in one breadth-first pass, and basis pairs are certified
+by greedy Nielsen length reduction.  That reduction is the same
+descent that ``Automorphism.inverse`` runs; what keeps it independent
+of ``is_basis_pair`` is that the latter is a commutator test, and the
 tests play the commutator test against the descent.
 """
 
@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from .automorphisms import _descend, nielsen_generators
 from .errors import BudgetExceededError, InvalidParamsError
-from .words import CyclicWord, Word
+from .words import CyclicWord, Word, check_int
 
 _SLACK = 4
 _MAX_LEN_CAP = 14
@@ -26,15 +26,15 @@ def enumerate_primitives(max_len: int) -> frozenset[CyclicWord]:
 
     Closure of {A} under the Nielsen generators, pruned at
     max_len + 4 letters.  The extra slack guards against shortest
-    representatives that are only reachable through longer ones; after
-    the closure stabilises, one more full sweep checks that no kept
-    class produces anything new.  Results are cached per max_len.
+    representatives that are only reachable through longer ones.  Each
+    kept class joins the next frontier and is expanded, so when the
+    frontier empties every image within the bound is kept already.
+    Results are cached per max_len.
 
     Raises InvalidParamsError when max_len is not an int or is below 1,
     and BudgetExceededError when it is above 14.
     """
-    if type(max_len) is not int:
-        raise InvalidParamsError(f"max_len must be an integer, got {max_len!r}")
+    check_int(max_len, "max_len")
     if max_len < 1:
         raise InvalidParamsError(f"max_len must be at least 1, got {max_len}")
     if max_len > _MAX_LEN_CAP:
@@ -56,13 +56,6 @@ def enumerate_primitives(max_len: int) -> frozenset[CyclicWord]:
                         seen.add(image)
                         fresh.append(image)
             frontier = fresh
-        for word in seen:  # stability sweep
-            for f in generators:
-                image = f.image_of_class(word)
-                if len(image) <= bound and image not in seen:
-                    raise AssertionError(
-                        f"closure not stable: {word} maps to new class {image}"
-                    )
         _cache[max_len] = frozenset(w for w in seen if len(w) <= max_len)
     return _cache[max_len]
 

@@ -30,7 +30,7 @@ from .errors import (
     UnknownCurveError,
     UnlabeledBandError,
 )
-from .words import CyclicWord, _christoffel, check_budget
+from .words import CyclicWord, _christoffel, check_budget, check_int
 
 HANDLES = ("A", "B")
 ENDS = ("+", "-")
@@ -81,13 +81,6 @@ class ArcStep(NamedTuple):
 
 
 Step = Union[TraverseStep, ArcStep]
-
-
-def _exact_int(value, what: str) -> int:
-    """An exact integer; floats, strings and booleans are rejected."""
-    if type(value) is not int:
-        raise InvalidParamsError(f"{what} must be an integer, got {value!r}")
-    return value
 
 
 def _index(text: str) -> int:
@@ -194,62 +187,57 @@ def _check_handle(label: HandleLabel, out: list[Violation]) -> None:
             )
         )
         return
-    if len(disks) == 2:
-        if math.gcd(disks[0], disks[1]) != 1:
-            out.append(
-                Violation(
-                    "GcdViolation",
-                    f"handle {name} band labels {disks[0]}, {disks[1]} are not coprime",
-                )
+    if len(disks) == 3 and disks[1] != disks[0] + disks[2]:
+        out.append(
+            Violation(
+                "BandSumViolation",
+                f"handle {name} middle label {disks[1]} is not "
+                f"{disks[0]} + {disks[2]}",
             )
-        longitudes = [band.longitude for band in label.bands]
-        if all(l is not None for l in longitudes):
-            det = disks[0] * longitudes[1] - disks[1] * longitudes[0]
-            if abs(det) != 1:
-                out.append(
-                    Violation(
-                        "DetViolation",
-                        f"handle {name} full labels have determinant {det}, "
-                        f"expected +-1",
-                    )
-                )
-    elif len(disks) == 3:
-        if disks[1] != disks[0] + disks[2]:
-            out.append(
-                Violation(
-                    "BandSumViolation",
-                    f"handle {name} middle label {disks[1]} is not "
-                    f"{disks[0]} + {disks[2]}",
-                )
+        )
+    # Two bands, or the outer two of three, carry coprime labels.
+    if len(disks) >= 2 and math.gcd(disks[0], disks[-1]) != 1:
+        which = "band" if len(disks) == 2 else "outer"
+        out.append(
+            Violation(
+                "GcdViolation",
+                f"handle {name} {which} labels {disks[0]}, {disks[-1]} are not coprime",
             )
-        if math.gcd(disks[0], disks[2]) != 1:
+        )
+    longitudes = [band.longitude for band in label.bands]
+    if len(disks) == 2 and None not in longitudes:
+        det = disks[0] * longitudes[1] - disks[1] * longitudes[0]
+        if abs(det) != 1:
             out.append(
                 Violation(
-                    "GcdViolation",
-                    f"handle {name} outer labels {disks[0]}, {disks[2]} "
-                    f"are not coprime",
+                    "DetViolation",
+                    f"handle {name} full labels have determinant {det}, expected +-1",
                 )
             )
 
 
-def _check_band_integers(diagram: RRDiagram) -> None:
-    """Refuse a band multiplicity or label that is not an exact integer,
-    as ``diagram_from_json`` does for JSON input."""
+def _check_integers(diagram: RRDiagram) -> None:
+    """Refuse a band multiplicity or label, or an arc multiplicity, that
+    is not an exact integer, as ``diagram_from_json`` does for JSON
+    input; bands are checked first, then arcs, each in order."""
     for name in HANDLES:
         for i, band in enumerate(diagram.handle(name).bands):
-            _exact_int(band.multiplicity, f"band {name}.{i} multiplicity")
+            check_int(band.multiplicity, f"band {name}.{i} multiplicity")
             for label, what in ((band.disk, "disk"), (band.longitude, "longitude")):
                 if label is not None:
-                    _exact_int(label, f"band {name}.{i} {what} label")
+                    check_int(label, f"band {name}.{i} {what} label")
+    for i, arc in enumerate(diagram.arcs):
+        check_int(arc.multiplicity, f"arc {i} multiplicity")
 
 
 def validate(diagram: RRDiagram) -> list[Violation]:
     """All constraint failures; an empty list means the diagram is valid.
 
-    A band multiplicity or label that is not an exact integer is not a
-    constraint failure but bad input: it raises InvalidParamsError.
+    A band multiplicity or label, or an arc multiplicity, that is not an
+    exact integer is not a constraint failure but bad input: it raises
+    InvalidParamsError.
     """
-    _check_band_integers(diagram)
+    _check_integers(diagram)
     out: list[Violation] = []
     _check_handle(diagram.handle_a, out)
     _check_handle(diagram.handle_b, out)
@@ -377,14 +365,14 @@ def trace_word(diagram: RRDiagram, curve: str) -> CyclicWord:
     """The conjugacy class in F(A, B) spelled by a curve's walk.
 
     Raises BudgetExceededError before writing out more letters than
-    ``words.check_budget`` allows, and InvalidParamsError for a band
-    multiplicity or label that is not an exact integer.
+    ``words.check_budget`` allows, and InvalidParamsError for a band or
+    arc multiplicity or a band label that is not an exact integer.
     """
     if curve not in diagram.curves:
         raise UnknownCurveError(
             f"no curve {curve!r}; have {sorted(diagram.curves)}"
         )
-    _check_band_integers(diagram)
+    _check_integers(diagram)
     # Bands by handle name; a name outside HANDLES has none.
     bands_of = {name: diagram.handle(name).bands for name in HANDLES}
     letters: list[str] = []
@@ -409,6 +397,14 @@ def trace_word(diagram: RRDiagram, curve: str) -> CyclicWord:
         raise InvalidParamsError(_unknown_step(curve, step))
     check_budget(sum(counts), f"letters in curve {curve}")
     return CyclicWord("".join(map(str.__mul__, letters, counts)))
+
+
+# Each variant's parameter names, sorted, and the phrase refusing any others.
+_VARIANTS = {
+    "fig1a": ([], "takes no parameters"),
+    "fig2a": (["p", "q"], "needs exactly p and q"),
+    "fig3a": (["a", "b", "eps", "p"], "needs exactly a, b, p, eps"),
+}
 
 
 class CanonicalParams(_Record, defaults=(None,) * 5):
@@ -438,21 +434,21 @@ class CanonicalParams(_Record, defaults=(None,) * 5):
         return cls("fig3a", p=p, a=a, b=b, eps=eps)
 
     def validated(self) -> "CanonicalParams":
+        # A variant that is not a string, hashable or not, is unknown.
+        spec = _VARIANTS.get(self.variant) if isinstance(self.variant, str) else None
+        if spec is None:
+            raise InvalidParamsError(
+                f"unknown variant {self.variant!r}; expected fig1a, fig2a, or fig3a"
+            )
+        names, phrase = spec
         given = sorted(
             name for name in self.__slots__[1:] if getattr(self, name) is not None
         )
-        if self.variant == "fig1a":
-            if given:
-                raise InvalidParamsError(
-                    f"fig1a takes no parameters, got {given}"
-                )
-        elif self.variant == "fig2a":
-            if given != ["p", "q"]:
-                raise InvalidParamsError(
-                    f"fig2a needs exactly p and q, got {given}"
-                )
-            for name in given:
-                _exact_int(getattr(self, name), f"fig2a parameter {name}")
+        if given != names:
+            raise InvalidParamsError(f"{self.variant} {phrase}, got {given}")
+        for name in given:
+            check_int(getattr(self, name), f"{self.variant} parameter {name}")
+        if self.variant == "fig2a":
             if self.p == 0:
                 raise InvalidParamsError("fig2a needs p != 0")
             if math.gcd(self.p, self.q) != 1:
@@ -461,12 +457,6 @@ class CanonicalParams(_Record, defaults=(None,) * 5):
                     f"= {math.gcd(self.p, self.q)}"
                 )
         elif self.variant == "fig3a":
-            if given != ["a", "b", "eps", "p"]:
-                raise InvalidParamsError(
-                    f"fig3a needs exactly a, b, p, eps, got {given}"
-                )
-            for name in given:
-                _exact_int(getattr(self, name), f"fig3a parameter {name}")
             if self.a < 1 or self.b < 1 or self.a + self.b < 2:
                 raise InvalidParamsError(
                     f"fig3a needs a, b >= 1 with a + b > 1, got ({self.a}, {self.b})"
@@ -482,10 +472,6 @@ class CanonicalParams(_Record, defaults=(None,) * 5):
                     f"fig3a needs min(p, p + eps) > 1, got p = {self.p}, "
                     f"eps = {self.eps}"
                 )
-        else:
-            raise InvalidParamsError(
-                f"unknown variant {self.variant!r}; expected fig1a, fig2a, or fig3a"
-            )
         return self
 
 
@@ -587,7 +573,7 @@ def diagram_to_json(diagram: RRDiagram) -> dict:
 def diagram_from_json(data: dict) -> RRDiagram:
     try:
         def band_from(entry: dict) -> Band:
-            mult = _exact_int(entry["mult"], "band multiplicity")
+            mult = check_int(entry["mult"], "band multiplicity")
             label = entry.get("label")
             if label is None:
                 return Band(mult, None, None)
@@ -595,10 +581,10 @@ def diagram_from_json(data: dict) -> RRDiagram:
                 raise InvalidParamsError(
                     f"band label has at most two entries, got {label!r}"
                 )
-            disk = _exact_int(label[0], "band disk label")
+            disk = check_int(label[0], "band disk label")
             longitude = label[1] if len(label) > 1 else None
             if longitude is not None:
-                longitude = _exact_int(longitude, "band longitude label")
+                longitude = check_int(longitude, "band longitude label")
             return Band(mult, disk, longitude)
 
         handles = {
@@ -612,7 +598,7 @@ def diagram_from_json(data: dict) -> RRDiagram:
             Arc(
                 parse_endpoint(entry["from"]),
                 parse_endpoint(entry["to"]),
-                _exact_int(entry["mult"], "arc multiplicity"),
+                check_int(entry["mult"], "arc multiplicity"),
             )
             for entry in data.get("arcs", [])
         )

@@ -23,7 +23,9 @@ from itertools import groupby
 from math import gcd
 from typing import Iterable, Iterator, NamedTuple
 
-from .errors import BudgetExceededError, EmptyWordError, InvalidWordError
+from .errors import (
+    BudgetExceededError, EmptyWordError, InvalidParamsError, InvalidWordError,
+)
 
 GENERATORS = "AB"
 LETTERS = "AaBb"
@@ -55,6 +57,16 @@ def check_budget(size: int, what: str) -> None:
     """
     if size > _MAX_EXPANDED_LETTERS:
         raise BudgetExceededError(f"more than {_MAX_EXPANDED_LETTERS:,} {what}")
+
+
+def check_int(value, what: str) -> int:
+    """Return ``value`` if it is an exact integer, else raise
+    InvalidParamsError naming ``what``; floats, strings and booleans are
+    refused.  Every integer parameter or label of a diagram, a diagram
+    family or a referee, from the Python API or from JSON, passes here."""
+    if type(value) is not int:
+        raise InvalidParamsError(f"{what} must be an integer, got {value!r}")
+    return value
 
 
 def parse_letters(text: str) -> str:
@@ -323,9 +335,6 @@ class _LetterString:
     def __len__(self) -> int:
         return len(self._letters)
 
-    def __bool__(self) -> bool:
-        return bool(self._letters)
-
     def __str__(self) -> str:
         return self._letters or "1"
 
@@ -447,8 +456,9 @@ def cyclic_equal(u: CyclicWord, v: CyclicWord, up_to_inversion: bool = False) ->
     """Rotation-invariant equality, optionally also inversion-invariant."""
     if u == v:
         return True
-    # Inversion keeps the length, so classes of other lengths never match.
-    return up_to_inversion and len(u) == len(v) and u == ~v
+    # Inversion keeps the length, so classes of other lengths never match,
+    # and u is ~v when u's letters inverted are a rotation of v's.
+    return up_to_inversion and len(u) == len(v) and _invert(u.letters) in v.letters * 2
 
 
 def substitute(word: Word, image_a: Word, image_b: Word) -> Word:

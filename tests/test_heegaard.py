@@ -236,6 +236,12 @@ class TestEdgeKeys:
             HGraph(alpha={("A+", "C-"): 1}, check_parity=False)
         assert str(info.value) == "unknown vertex in edge ('A+', 'C-')"
 
+    def test_unknown_vertex_in_multiplicity(self):
+        graph = HGraph(alpha={"A+A-": 1}, check_parity=False)
+        with pytest.raises(ValueError) as info:
+            graph.multiplicity("alpha", "A+", "C-")
+        assert str(info.value) == "unknown vertex in edge ('A+', 'C-')"
+
     @pytest.mark.parametrize("key", [("A+",), ("A+", "B-", "B+")])
     def test_wrong_length_tuple_keys(self, key):
         with pytest.raises(ValueError) as unpacking:

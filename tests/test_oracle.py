@@ -2,6 +2,7 @@ from math import gcd
 
 import pytest
 
+from genus2pairs.automorphisms import nielsen_generators
 from genus2pairs.errors import BudgetExceededError, InvalidParamsError
 from genus2pairs import oracle
 from genus2pairs.oracle import brute_is_basis, enumerate_primitives
@@ -39,6 +40,14 @@ class TestEnumeratePrimitives:
             assert ~w in found
             assert CyclicWord(w.letters.translate(swap)) in found
             assert CyclicWord(w.letters.translate(flip)) in found
+
+    @pytest.mark.parametrize("bound", [1, 4, 7])
+    def test_closed_under_generators_within_bound(self, bound):
+        found = enumerate_primitives(bound)
+        for w in found:
+            for f in nielsen_generators():
+                image = f.image_of_class(w)
+                assert len(image) > bound or image in found
 
     @pytest.mark.parametrize("bound", [3, 5, 7])
     def test_stability_between_bounds(self, bound):

@@ -101,6 +101,20 @@ class TestHandleConstraints:
             "GcdViolation: handle A outer labels 2, 2 are not coprime",
         ]
 
+    def test_gcd_before_determinant(self):
+        d = self.build([Band(1, 2, 1), Band(1, 4, 3)])
+        assert [str(v) for v in validate(d) if v.kind != "EndpointBalance"] == [
+            "GcdViolation: handle A band labels 2, 4 are not coprime",
+            "DetViolation: handle A full labels have determinant 2, expected +-1",
+        ]
+
+    def test_band_sum_before_gcd(self):
+        d = self.build([Band(1, 2), Band(1, 5), Band(1, 2)])
+        assert [str(v) for v in validate(d) if v.kind != "EndpointBalance"] == [
+            "BandSumViolation: handle A middle label 5 is not 2 + 2",
+            "GcdViolation: handle A outer labels 2, 2 are not coprime",
+        ]
+
     def test_full_label_determinant(self):
         d = self.build([Band(1, 3, 1), Band(1, 1, 1)])
         assert "DetViolation" in kinds(validate(d))
@@ -204,6 +218,21 @@ class TestCanonicalParams:
         with pytest.raises(InvalidParamsError, match=r"parameter (p|q|a|eps) must be "
                            r"an integer, got " + re.escape(repr(bad))):
             call(bad)
+
+    @pytest.mark.parametrize("params, message", [
+        (CanonicalParams("fig1a", p=3), "fig1a takes no parameters, got ['p']"),
+        (CanonicalParams("fig2a", p=2.5), "fig2a needs exactly p and q, got ['p']"),
+        (CanonicalParams("fig3a", a=1, b=2, p=3),
+         "fig3a needs exactly a, b, p, eps, got ['a', 'b', 'p']"),
+        (CanonicalParams("fig9z"),
+         "unknown variant 'fig9z'; expected fig1a, fig2a, or fig3a"),
+        (CanonicalParams(["fig1a"]),
+         "unknown variant ['fig1a']; expected fig1a, fig2a, or fig3a"),
+    ], ids=["fig1a", "fig2a", "fig3a", "fig9z", "unhashable"])
+    def test_exact_messages(self, params, message):
+        with pytest.raises(InvalidParamsError) as info:
+            params.validated()
+        assert str(info.value) == message
 
     def test_count_and_variant_checks_come_first(self):
         with pytest.raises(InvalidParamsError, match="fig1a takes no parameters"):
@@ -366,6 +395,21 @@ class TestIntegerLabels:
         d = self.diagram((Band(1, 2),), bands_b)
         self.refused(lambda: validate(d), message)
         self.refused(lambda: trace_word(d, "alpha"), message)
+
+    @pytest.mark.parametrize("bad", [1.5, True], ids=repr)
+    def test_arc_multiplicity(self, bad):
+        d = build_canonical(CanonicalParams.fig2a(3, 1))
+        first = d.arcs[0]
+        d.arcs = (Arc(first.start, first.stop, bad),) + d.arcs[1:]
+        message = f"arc 0 multiplicity must be an integer, got {bad!r}"
+        self.refused(lambda: validate(d), message)
+        self.refused(lambda: trace_word(d, "alpha"), message)
+
+    def test_bands_are_checked_before_arcs(self):
+        d = build_canonical(CanonicalParams.fig2a(3, 1))
+        d.handle_b = HandleLabel("B", (Band(2, 1.0),))
+        d.arcs = (Arc(d.arcs[0].start, d.arcs[0].stop, 1.5),) + d.arcs[1:]
+        self.refused(lambda: validate(d), "band B.0 disk label must be an integer, got 1.0")
 
     def test_unlabeled_bands_stay_violations(self):
         d = self.diagram((Band(1, None), Band(1, 2)))

@@ -19,6 +19,15 @@ def test_no_assert_statements(path):
     assert not lines, f"{path.name} has assert statements on lines {lines}"
 
 
+def test_one_exact_integer_check():
+    """``words.check_int`` is the one exact-integer check; ``HGraph`` keeps
+    its own, which raises the ValueError the CLI maps."""
+    counts = {path.name: path.read_text().count("is not int") for path in MODULES}
+    assert {name: n for name, n in counts.items() if n} == {
+        "words.py": 1, "heegaard.py": 1,
+    }
+
+
 def test_oracle_shares_nothing_with_primitivity():
     """The referees in ``oracle`` must not reuse the decision procedures."""
     path = Path(genus2pairs.__file__).parent / "oracle.py"

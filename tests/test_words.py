@@ -336,6 +336,11 @@ class TestValueProtocol:
         assert hash(Word("AB")) == hash(("Word", "AB"))
         assert hash(CyclicWord("BA")) == hash(("CyclicWord", "AB"))
 
+    @given(letter_strings)
+    def test_truthiness_is_length(self, s):
+        for w in (Word(s), CyclicWord(s)):
+            assert bool(w) is (len(w) > 0) is (w.letters != "")
+
 
 class TestWord:
     def test_reduce_cancelling_pair(self):
@@ -505,6 +510,25 @@ class TestCyclicEqual:
             CyclicWord, "__invert__", side_effect=AssertionError("inverted")
         ):
             assert not cyclic_equal(u, v, up_to_inversion=True)
+
+    # The second class is another word, the first inverted, the first
+    # itself, or the first reversed (same length and letter counts as the
+    # inverse, a near miss), each turned by a random shift.
+    @given(
+        st.one_of(letter_strings, long_rotation_inputs),
+        st.one_of(letter_strings, long_rotation_inputs),
+        st.integers(0, 3),
+        shifts,
+    )
+    @example("AB" * 40 + "b", "", 1, 7)
+    @example("AABAB" * 15, "", 1, 3)
+    def test_inversion_agrees_with_inverted_class(self, s, t, form, shift):
+        other = (t, _invert(s), s, s[::-1])[form]
+        u, v = CyclicWord(s), CyclicWord(rotated(other, shift))
+        assert cyclic_equal(u, v) == (u == v)
+        assert cyclic_equal(u, v, up_to_inversion=True) == (u == v or u == ~v)
+        if form == 1:
+            assert cyclic_equal(u, v, up_to_inversion=True)
 
 
 class TestSyllables:
