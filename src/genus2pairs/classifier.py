@@ -68,19 +68,18 @@ class PairClass(_Record):
 
 
 def separating_word(n: int) -> CyclicWord:
-    """The class of A^n B A^-n B^-1; trivial when n = 0.
+    """The class of A^n B A^-n B^-1; trivial when n = 0.  It is written in
+    its least rotation, which starts at its one run of A: A^m B a^m b for
+    n = m > 0 and A^m b a^m B for n = -m < 0.
 
-    >>> str(separating_word(1))
-    'ABab'
+    >>> str(separating_word(1)), str(separating_word(-2))
+    ('ABab', 'AAbaaB')
     >>> str(separating_word(0))
     '1'
     """
     check_budget(2 * abs(n) + 2, "letters in the separating word")
-    if n >= 0:
-        letters = "A" * n + "B" + "a" * n + "b"
-    else:
-        letters = "a" * -n + "B" + "A" * -n + "b"
-    return CyclicWord(letters)
+    m, sign = abs(n), n < 0
+    return CyclicWord._raw("A" * m + "Bb"[sign] + "a" * m + "bB"[sign] if n else "")
 
 
 def longitude_pair(p: int, q: int) -> tuple[int, int]:

@@ -260,14 +260,15 @@ def validate(diagram: RRDiagram) -> list[Violation]:
                     )
                 )
     if arcs_ok:
-        attached: Counter[Endpoint] = Counter()
+        attached: dict[Endpoint, int] = {}
         for arc in diagram.arcs:
-            attached[arc.start] += arc.multiplicity
-            attached[arc.stop] += arc.multiplicity
+            attached[arc.start] = attached.get(arc.start, 0) + arc.multiplicity
+            attached[arc.stop] = attached.get(arc.stop, 0) + arc.multiplicity
+        # Endpoints and steps are NamedTuples, found here by plain tuples.
         for name in HANDLES:
             for i, band in enumerate(diagram.handle(name).bands):
                 for end in ENDS:
-                    got = attached[Endpoint(name, i, end)]
+                    got = attached.get((name, i, end), 0)
                     if got != band.multiplicity:
                         out.append(
                             Violation(
@@ -278,51 +279,44 @@ def validate(diagram: RRDiagram) -> list[Violation]:
                             )
                         )
 
-    # Walks compare plain (handle, band, end) tuples, which equal the
-    # arcs' Endpoints; the ends of each distinct step are found once.
-    arc_orders = [((arc.start, arc.stop), (arc.stop, arc.start)) for arc in diagram.arcs]
-    step_ends: dict[Step, tuple[tuple, tuple]] = {}
-    for step in set().union(*diagram.curves.values()):
-        if step.direction not in (1, -1):
-            continue
-        if isinstance(step, TraverseStep):
-            if step.band >= band_count.get(step.handle, 0):
-                continue
-            plus, minus = (step.handle, step.band, "+"), (step.handle, step.band, "-")
-            step_ends[step] = (minus, plus) if step.direction > 0 else (plus, minus)
-        elif step.arc < len(arc_orders):
-            step_ends[step] = arc_orders[step.arc][0 if step.direction > 0 else 1]
-    usage: Counter[Step] = Counter()
+    # Each walk is read once, as counts of (step, next step) pairs: they
+    # give the usage of each step, and the walk closes when every distinct
+    # pair does.  Only a broken walk, or one with an unknown step, is read
+    # again in order, to report each fault where it occurs.
+    walks, usage = {}, {}
+    for curve, steps in diagram.curves.items():
+        walks[curve] = pairs = Counter(zip(steps, steps[1:] + steps[:1]))
+        for (step, _), count in pairs.items():
+            usage[step] = usage.get(step, 0) + count
+    table = _step_table(diagram, usage)
     for curve, steps in diagram.curves.items():
         if not steps:
             out.append(Violation("EmptyCurve", f"curve {curve} has no steps"))
             continue
-        usage.update(steps)
-        walk = list(map(step_ends.get, steps))
-        if None in walk:
+        # Every step of the walk is the first of some pair.
+        if any(isinstance(table[step], str) for step, _ in walks[curve]):
             for step in steps:
-                if step not in step_ends:
-                    out.append(Violation("UnknownStep", _unknown_step(curve, step)))
+                if isinstance(table[step], str):
+                    out.append(Violation("UnknownStep", f"curve {curve} {table[step]}"))
             continue
-        entries, exits = zip(*walk)
-        following = entries[1:] + entries[:1]
-        if exits == following:
+        if all(table[step][1] == table[nxt][0] for step, nxt in walks[curve]):
             continue
-        for i, (exit_, entry_next) in enumerate(zip(exits, following)):
-            if exit_ != entry_next:
+        ends = [table[step] for step in steps]
+        for i, (step_ends, next_ends) in enumerate(zip(ends, ends[1:] + ends[:1])):
+            if step_ends[1] != next_ends[0]:
                 out.append(
                     Violation(
                         "OpenCurve",
                         f"curve {curve} breaks between step {i} "
-                        f"(exits {Endpoint(*exit_).token()}) and step "
+                        f"(exits {Endpoint(*step_ends[1]).token()}) and step "
                         f"{(i + 1) % len(steps)} "
-                        f"(enters {Endpoint(*entry_next).token()})",
+                        f"(enters {Endpoint(*next_ends[0]).token()})",
                     )
                 )
     if not any(v.kind in ("UnknownStep", "EmptyCurve") for v in out) and diagram.curves:
         for name in HANDLES:
             for i, band in enumerate(diagram.handle(name).bands):
-                used = usage[TraverseStep(name, i, 1)] + usage[TraverseStep(name, i, -1)]
+                used = usage.get((name, i, 1), 0) + usage.get((name, i, -1), 0)
                 if used != band.multiplicity:
                     out.append(
                         Violation(
@@ -332,7 +326,7 @@ def validate(diagram: RRDiagram) -> list[Violation]:
                         )
                     )
         for i, arc in enumerate(diagram.arcs):
-            used = usage[ArcStep(i, 1)] + usage[ArcStep(i, -1)]
+            used = usage.get((i, 1), 0) + usage.get((i, -1), 0)
             if used != arc.multiplicity:
                 out.append(
                     Violation(
@@ -344,59 +338,67 @@ def validate(diagram: RRDiagram) -> list[Violation]:
     return out
 
 
-def _unknown_step(curve: str, step: Step) -> str:
-    """The message for a walk step whose band or arc does not exist or
-    whose direction is not +1 or -1."""
-    if step.direction not in (1, -1):
-        if isinstance(step, TraverseStep):
-            where = f"band {step.handle}.{step.band}"
+def _step_table(diagram: RRDiagram, steps) -> dict[Step, tuple | str]:
+    """Each of the distinct ``steps`` as (entry end, exit end, letter,
+    count), or as its fault, worded to follow "curve <name> ", when its
+    band or arc is missing or its direction is not +-1.  Band ends are
+    plain tuples; an arc spells no letter, an unlabeled band has count None."""
+    bands_of = {"A": diagram.handle_a.bands, "B": diagram.handle_b.bands}
+    table: dict[Step, tuple | str] = dict.fromkeys(steps)
+    for step in table:
+        traverse = isinstance(step, TraverseStep)
+        if step.direction not in (1, -1):
+            where = f"band {step.handle}.{step.band}" if traverse else f"arc {step.arc}"
+            direction = f"in direction {step.direction!r}, not 1 or -1"
+            table[step] = f"steps through {where} {direction}"
+            continue
+        if traverse:
+            handle, band = step.handle, step.band
+            if band >= len(bands_of.get(handle, ())):
+                table[step] = f"traverses missing band {handle}.{band}"
+                continue
+            disk = bands_of[handle][band].disk
+            exponent = 0 if disk is None else disk * step.direction
+            entry, exit_ = (handle, band, "-"), (handle, band, "+")
+            letter = handle if exponent > 0 else handle.lower()
+            count = None if disk is None else abs(exponent)
+        elif step.arc < len(diagram.arcs):
+            arc = diagram.arcs[step.arc]
+            entry, exit_, letter, count = arc.start, arc.stop, "", 0
         else:
-            where = f"arc {step.arc}"
-        return (
-            f"curve {curve} steps through {where} in direction "
-            f"{step.direction!r}, not 1 or -1"
-        )
-    if isinstance(step, TraverseStep):
-        return f"curve {curve} traverses missing band {step.handle}.{step.band}"
-    return f"curve {curve} uses missing arc {step.arc}"
+            table[step] = f"uses missing arc {step.arc}"
+            continue
+        ends = (entry, exit_) if step.direction > 0 else (exit_, entry)
+        table[step] = *ends, letter, count
+    return table
 
 
 def trace_word(diagram: RRDiagram, curve: str) -> CyclicWord:
     """The conjugacy class in F(A, B) spelled by a curve's walk.
 
-    Raises BudgetExceededError before writing out more letters than
-    ``words.check_budget`` allows, and InvalidParamsError for a band or
-    arc multiplicity or a band label that is not an exact integer.
+    Raises for the first bad step in walk order, BudgetExceededError before
+    writing out more letters than ``words.check_budget`` allows, and
+    InvalidParamsError for a multiplicity or label that is not an integer.
     """
     if curve not in diagram.curves:
         raise UnknownCurveError(
             f"no curve {curve!r}; have {sorted(diagram.curves)}"
         )
     _check_integers(diagram)
-    # Bands by handle name; a name outside HANDLES has none.
-    bands_of = {name: diagram.handle(name).bands for name in HANDLES}
-    letters: list[str] = []
-    counts: list[int] = []
-    for step in diagram.curves[curve]:
-        if step.direction not in (1, -1):
-            raise InvalidParamsError(_unknown_step(curve, step))
-        if isinstance(step, TraverseStep):
-            bands = bands_of.get(step.handle, ())
-            if step.band < len(bands):
-                disk = bands[step.band].disk
-                if disk is None:
-                    raise UnlabeledBandError(
-                        f"band {step.handle}.{step.band} has no disk label"
-                    )
-                exponent = disk * step.direction
-                letters.append(step.handle if exponent > 0 else step.handle.lower())
-                counts.append(abs(exponent))
-                continue
-        elif step.arc < len(diagram.arcs):
-            continue
-        raise InvalidParamsError(_unknown_step(curve, step))
-    check_budget(sum(counts), f"letters in curve {curve}")
-    return CyclicWord("".join(map(str.__mul__, letters, counts)))
+    steps = diagram.curves[curve]
+    # Counts of each step, in order of first occurrence.
+    occurrences = Counter(steps)
+    table = _step_table(diagram, occurrences)
+    size = 0
+    for step, row in table.items():
+        if isinstance(row, str):
+            raise InvalidParamsError(f"curve {curve} {row}")
+        if row[3] is None:
+            raise UnlabeledBandError(f"band {step.handle}.{step.band} has no disk label")
+        size += row[3] * occurrences[step]
+    check_budget(size, f"letters in curve {curve}")
+    runs = {step: letter * count for step, (_, _, letter, count) in table.items()}
+    return CyclicWord("".join(map(runs.__getitem__, steps)))
 
 
 # Each variant's parameter names, sorted, and the phrase refusing any others.

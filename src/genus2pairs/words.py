@@ -170,14 +170,13 @@ def _power_period(letters: str) -> int:
     """Length of the primitive root of ``letters``: the least p dividing
     n = len(letters) with ``letters == letters[:p] * (n // p)``.
 
-    A k-th power repeats every letter count k times, so k divides the
-    gcd of the four counts.  k is grown one prime factor of that gcd at
-    a time, each step checked by one slice compare.
+    A k-th power has k | n and k | every letter count, so k divides the
+    gcd of n and the count of the first letter (the empty string counts
+    one).  k is grown one prime factor of that gcd at a time, each step
+    checked by one slice compare.
     """
     n = len(letters)
-    g = gcd(
-        letters.count("A"), letters.count("a"), letters.count("B"), letters.count("b")
-    )
+    g = gcd(n, letters.count(letters[:1]))
     k = 1
     factor = 2
     while g > 1:
@@ -203,9 +202,8 @@ def _canonical_rotation(letters: str) -> str:
     follows a run of it is larger, so it starts where a cyclic run of
     the least letter starts.  Short words compare all those starts.
     Longer words are first cut to their primitive root, whose least
-    rotation, repeated, is the answer; then only the starts of the
-    longest runs are compared, since a longer run of the least letter
-    beats a shorter one where the shorter one ends.
+    rotation, repeated, is the answer; ``_least_start`` then finds
+    where the root's least rotation starts.
 
     >>> _canonical_rotation("BAAB" * 30)[:8]
     'AABBAABB'
@@ -222,30 +220,62 @@ def _canonical_rotation(letters: str) -> str:
         starts = [i for i in range(n) if keyed[i] == least and keyed[i - 1] != least]
         if not starts:  # a power of one letter: every rotation is the same
             return letters
+        if len(starts) == 1:
+            best = starts[0]
+        else:
+            doubled = keyed + keyed
+            best = min(starts, key=lambda i: doubled[i : i + n])
     else:
         period = _power_period(letters)
         if period < n:
             return _canonical_rotation(letters[:period]) * (n // period)
-        least = next(key for key in "0123" if key in keyed)
-        run = re.compile(least + "+")
-        # Rotate to start on another letter, so that no run wraps around.
-        head = run.match(keyed)
-        if head:
-            shift = head.end()
-            keyed = keyed[shift:] + keyed[:shift]
-            letters = letters[shift:] + letters[:shift]
-        longest = least * max(map(len, run.findall(keyed)))
-        starts = []
-        i = keyed.find(longest)
-        while i >= 0:
-            starts.append(i)
-            i = keyed.find(longest, i + len(longest))
+        best = _least_start(keyed, next(key for key in "0123" if key in keyed))
+    return letters[best:] + letters[:best]
+
+
+def _least_start(keyed: str, least: str) -> int:
+    """Where the least rotation of a primitive string starts, given its
+    least symbol, in plain ``str`` order.
+
+    It starts at a longest run of ``least``, since a longer run beats a
+    shorter one where the shorter one ends.  Up to ``_SHORT_ROTATION``
+    such starts are compared as slices.  With more, the string is cut
+    before each longest run L into pieces L + x, and x holds no run of
+    L's length and ends with another symbol.  Rotations from the cuts
+    then compare as their sequences of x in ``str`` order: where x is a
+    proper prefix of y, the L that follows x meets a shorter run and
+    another symbol in y.  So the distinct x are ranked, and the least
+    rotation of the rank string, primitive and at most half as long,
+    gives the start.  Ranks are code points, so a string with more than
+    0x110000 distinct pieces keeps the slices.
+    """
+    n = len(keyed)
+    run = re.compile(re.escape(least) + "+")
+    # Rotate to start on another symbol, so that no run wraps around.
+    head = run.match(keyed)
+    shift = head.end() if head else 0
+    keyed = keyed[shift:] + keyed[:shift]
+    longest = least * max(map(len, run.findall(keyed)))
+    if keyed.count(longest) > _SHORT_ROTATION:
+        first = keyed.find(longest)
+        pieces = (keyed[first:] + keyed[:first]).split(longest)[1:]
+        distinct = sorted(set(pieces))
+        if len(distinct) <= 0x110000:
+            rank = {piece: chr(i) for i, piece in enumerate(distinct)}
+            k = _least_start("".join(map(rank.__getitem__, pieces)), chr(0))
+            best = first + k * len(longest) + sum(map(len, pieces[:k]))
+            return (best + shift) % n
+    starts = []
+    i = keyed.find(longest)
+    while i >= 0:
+        starts.append(i)
+        i = keyed.find(longest, i + len(longest))
     if len(starts) == 1:
         best = starts[0]
     else:
         doubled = keyed + keyed
         best = min(starts, key=lambda i: doubled[i : i + n])
-    return letters[best:] + letters[:best]
+    return (best + shift) % n
 
 
 def _runs(letters: str) -> list[tuple[str, int]]:

@@ -73,7 +73,8 @@ class TestSeparatingWord:
     def test_square(self):
         assert separating_word(2) == CyclicWord("AABaab")
 
-    @pytest.mark.parametrize("n", range(-6, 7))
+    # The twists of long fig2a diagrams reach +-750 (|p| up to 1,500).
+    @pytest.mark.parametrize("n", [*range(-6, 7), -1499, -750, 750, 1499])
     def test_contract(self, n):
         w = separating_word(n)
         assert w.abelianization() == (0, 0)

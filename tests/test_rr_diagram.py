@@ -5,6 +5,7 @@ import pytest
 
 from genus2pairs.classifier import classify
 from genus2pairs.errors import (
+    BudgetExceededError,
     InvalidParamsError,
     UnknownCurveError,
     UnlabeledBandError,
@@ -499,6 +500,45 @@ class TestTraceWord:
                 ("alpha", "arc 1"), ("beta", "band B.0"), ("beta", "arc 2"),
             ]
         ]
+
+    @staticmethod
+    def fig2a_unlabeled_with(extra, first):
+        """fig2a(3, 1) with band A.0 unlabeled and ``extra`` steps put
+        before (``first``) or after the walk."""
+        d = build_canonical(CanonicalParams.fig2a(3, 1))
+        d.handle_a = HandleLabel("A", (Band(1, None),))
+        walk = d.curves["alpha"]
+        d.curves["alpha"] = extra + walk if first else walk + extra
+        return d
+
+    def test_first_bad_step_in_walk_order_raises(self):
+        d = self.fig2a_unlabeled_with((ArcStep(99, 1),), first=True)
+        with pytest.raises(InvalidParamsError) as info:
+            trace_word(d, "alpha")
+        assert str(info.value) == "curve alpha uses missing arc 99"
+        d = self.fig2a_unlabeled_with((ArcStep(99, 1),), first=False)
+        with pytest.raises(UnlabeledBandError) as info:
+            trace_word(d, "alpha")
+        assert str(info.value) == "band A.0 has no disk label"
+
+    def test_each_occurrence_of_a_bad_step_is_listed(self):
+        d = build_canonical(CanonicalParams.fig2a(3, 1))
+        walk = d.curves["alpha"]
+        d.curves["alpha"] = (
+            ArcStep(99, 1), *walk, TraverseStep("A", 5, -1), ArcStep(99, 1)
+        )
+        assert [str(v) for v in validate(d)] == [
+            "UnknownStep: curve alpha uses missing arc 99",
+            "UnknownStep: curve alpha traverses missing band A.5",
+            "UnknownStep: curve alpha uses missing arc 99",
+        ]
+
+    def test_budget_is_checked_before_letters_are_written(self):
+        # Writing the run first would ask for 10**12 letters.
+        d = build_canonical(CanonicalParams.fig2a(3, 1))
+        d.handle_a = HandleLabel("A", (Band(1, 10**12, 1),))
+        with pytest.raises(BudgetExceededError):
+            trace_word(d, "alpha")
 
     @pytest.mark.parametrize("step", [TraverseStep("A", 0, 0), ArcStep(0, -3)])
     def test_trace_and_validate_share_the_direction_message(self, step):

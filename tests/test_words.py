@@ -28,6 +28,7 @@ from genus2pairs.words import (
     _christoffel,
     _invert,
     _join,
+    _least_start,
     _power_period,
     _reduce,
     parse_letters,
@@ -152,9 +153,20 @@ wrapping_runs = st.builds(
     ),
     st.integers(1, 80),
 )
+# Over 64 starts of the longest run (every run of A has length 1), so
+# the pieces between runs are ranked and the rank string is rotated.
+many_longest_runs = st.builds(
+    lambda blocks, picks, shift: rotated(
+        "".join(blocks[i % len(blocks)] for i in picks), shift
+    ),
+    st.lists(st.text(alphabet="aBb", min_size=1, max_size=3).map("A".__add__),
+             min_size=1, max_size=4),
+    st.lists(st.integers(0, 3), min_size=65, max_size=600),
+    shifts,
+)
 long_rotation_inputs = st.one_of(
     proper_powers, shuffled_multiples, near_periodic, one_extra_letter,
-    fig3a_words, wrapping_runs,
+    fig3a_words, wrapping_runs, many_longest_runs,
 )
 
 
@@ -233,9 +245,40 @@ class TestKernelFastPaths:
             fig3a,
             fig3a * 3,
             _invert(fig3a) * 3,
+            # More longest-run starts than _SHORT_ROTATION: pieces are ranked.
+            "AB" * 2000 + "Ab",
+            ("AB" * 40 + "AAB") * 3 + "AB",
         ):
             for shift in (0, 1, len(word) // 2):
                 assert _canonical_rotation(rotated(word, shift)) == least_rotation(word)
+
+    def test_many_longest_run_starts_recurse_on_ranks(self):
+        # 80,001 starts of a run of A: one slice compare per start was
+        # quadratic; the pieces between runs are ranked instead, and the
+        # rank string, at most half as long, is rotated by the same rule.
+        word = "AB" * 80000 + "Ab"
+        with mock.patch(
+            "genus2pairs.words._least_start", wraps=_least_start
+        ) as spy:
+            assert CyclicWord(rotated(word, 12345)).letters == word
+        lengths = [len(call.args[0]) for call in spy.call_args_list]
+        assert lengths[0] == len(word) and lengths[1] <= len(word) // 2
+
+    @pytest.mark.parametrize(
+        "letters, period",
+        [
+            ("", 0),
+            ("A", 1),
+            ("AB" * 6, 2),
+            ("AAB" * 4, 3),
+            ("A" * 12, 1),
+            # Non-powers whose first-letter count shares a factor with n.
+            ("AABB", 4),
+            ("A" * 50 + "B" * 50 + "AB", 102),
+        ],
+    )
+    def test_power_period_examples(self, letters, period):
+        assert _power_period(letters) == least_period(letters) == period
 
     @given(reduced_strings, reduced_strings, st.integers(0, 40))
     def test_join_matches_full_reduction(self, x, y, overlap):
