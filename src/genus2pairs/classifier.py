@@ -120,47 +120,34 @@ def _min_abs_twist(r: int, m: int) -> int:
 def classify(params: CanonicalParams) -> PairClass:
     """Classify the curve pair of a canonical diagram.
 
-    fig1a pairs are separated (and of both types); fig2a pairs are
-    always Type I, with the rest read off the longitude twist; fig3a
-    pairs are Type II only, with twist eps.
+    Every field is read off the twist: the longitude twist for fig2a, eps
+    for fig3a.  Twist 0 is separated, |twist| = 1 a product and a larger
+    one a twisted product; Type II pairs have |twist| <= 1, and every pair
+    but fig3a is Type I.  fig1a is the one exception: twist 1, yet
+    separated.  Its curves also bound product ends with a commutator
+    separating curve; the structure field reports the stronger separated
+    form and the word keeps the witness.
     """
     params = params.validated()
-    if params.variant == "fig1a":
-        # Separated, yet the curves also bound product ends with a
-        # commutator separating curve; the structure field reports the
-        # stronger separated form and the word keeps the witness.
-        return PairClass(
-            type_I=True,
-            type_II=True,
-            separated=True,
-            structure=ProductStructure.SEPARATED_DISK,
-            separating_word=separating_word(1),
-            twist=1,
-        )
     if params.variant == "fig2a":
         r, _s = longitude_pair(params.p, params.q)
         twist = _min_abs_twist(r, abs(params.p))
-        if twist == 0:
-            structure = ProductStructure.SEPARATED_DISK
-        elif abs(twist) == 1:
-            structure = ProductStructure.PRODUCT
-        else:
-            structure = ProductStructure.TWISTED_PRODUCT
-        return PairClass(
-            type_I=True,
-            type_II=abs(twist) <= 1,
-            separated=twist == 0,
-            structure=structure,
-            separating_word=separating_word(twist),
-            twist=twist,
-        )
+    else:
+        twist = 1 if params.variant == "fig1a" else params.eps
+    separated = twist == 0 or params.variant == "fig1a"
+    if separated:
+        structure = ProductStructure.SEPARATED_DISK
+    elif abs(twist) == 1:
+        structure = ProductStructure.PRODUCT
+    else:
+        structure = ProductStructure.TWISTED_PRODUCT
     return PairClass(
-        type_I=False,
-        type_II=True,
-        separated=False,
-        structure=ProductStructure.PRODUCT,
-        separating_word=separating_word(params.eps),
-        twist=params.eps,
+        type_I=params.variant != "fig3a",
+        type_II=abs(twist) <= 1,
+        separated=separated,
+        structure=structure,
+        separating_word=separating_word(twist),
+        twist=twist,
     )
 
 

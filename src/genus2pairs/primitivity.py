@@ -125,12 +125,6 @@ def is_primitive(word: Word | CyclicWord) -> bool:
     return _is_primitive_core(_cyclic_core(word.letters))
 
 
-_COMMUTATOR_CLASSES = (
-    _canonical_rotation("ABab"),
-    _canonical_rotation("BAba"),
-)
-
-
 def is_basis_pair(u: Word, v: Word) -> bool:
     """True iff (u, v) is a free basis of F(A, B).
 
@@ -141,9 +135,10 @@ def is_basis_pair(u: Word, v: Word) -> bool:
     """
     su, sv = u.letters, v.letters
     commutator = _cyclic_core(_join(_join(_join(su, sv), _invert(su)), _invert(sv)))
-    if len(commutator) != 4:
-        return False
-    return _canonical_rotation(commutator) in _COMMUTATOR_CLASSES
+    # Each rotation of ABab, or of its inverse BAba, is a 4-letter slice.
+    return len(commutator) == 4 and (
+        commutator in "ABabABa" or commutator in "BAbaBAb"
+    )
 
 
 def as_proper_power(word: Word | CyclicWord) -> tuple[CyclicWord, int] | None:

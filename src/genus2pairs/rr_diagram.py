@@ -14,12 +14,16 @@ in the free group F(A, B).
 Band ends are written ``A.0.+`` (handle, band index, end).  Walk steps
 are ``A.0.+`` for a traversal of band 0 of handle A in the + direction
 (entering at the - end) and ``arc:3.-`` for arc 3 against its
-orientation.
+orientation.  An index is plain decimal, in ASCII digits with no sign
+and no leading zero, so a token parses exactly when it is what
+``token()`` writes.  A step or an endpoint names its band or arc through
+one table, keyed by its fields but the last.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from collections import Counter
 from itertools import chain
 from typing import NamedTuple, Union
@@ -83,40 +87,28 @@ class ArcStep(NamedTuple):
 Step = Union[TraverseStep, ArcStep]
 
 
-def _index(text: str) -> int:
-    """A band or arc index; negative ones would count from the end."""
-    index = int(text)
-    if index < 0:
-        raise ValueError(text)
-    return index
+# A handle and ``.``, or ``arc:``; the index; the end or direction sign.
+_TOKEN = re.compile(r"(?:([AB])\.|arc:)(0|[1-9][0-9]*)\.([+-])")
 
 
-def _band_end(token: str) -> Endpoint:
-    """A ``handle.band.end`` token; ValueError when it is malformed."""
-    handle, band, end = token.split(".")
-    if handle not in HANDLES or end not in ENDS:
-        raise ValueError(token)
-    return Endpoint(handle, _index(band), end)
+def _read_token(token, kind: str) -> tuple:
+    """The handle (None for an arc), index and sign of a ``kind`` token."""
+    match = _TOKEN.fullmatch(token) if isinstance(token, str) else None
+    if match is None or (kind == "endpoint" and match[1] is None):
+        raise InvalidParamsError(f"malformed {kind} token {token!r}")
+    return match[1], int(match[2]), match[3]
 
 
 def parse_step(token: str) -> Step:
-    try:
-        if token.startswith("arc:"):
-            index, sign = token[4:].split(".")
-            if sign not in ENDS:
-                raise ValueError(token)
-            return ArcStep(_index(index), 1 if sign == "+" else -1)
-        handle, band, end = _band_end(token)
-        return TraverseStep(handle, band, 1 if end == "+" else -1)
-    except (ValueError, IndexError):
-        raise InvalidParamsError(f"malformed step token {token!r}") from None
+    handle, index, sign = _read_token(token, "step")
+    direction = 1 if sign == "+" else -1
+    if handle is None:
+        return ArcStep(index, direction)
+    return TraverseStep(handle, index, direction)
 
 
 def parse_endpoint(token: str) -> Endpoint:
-    try:
-        return _band_end(token)
-    except (ValueError, IndexError):
-        raise InvalidParamsError(f"malformed endpoint token {token!r}") from None
+    return Endpoint(*_read_token(token, "endpoint"))
 
 
 class RRDiagram(_Record, frozen=False):
@@ -216,18 +208,31 @@ def _check_handle(label: HandleLabel, out: list[Violation]) -> None:
             )
 
 
-def _check_integers(diagram: RRDiagram) -> None:
-    """Refuse a band multiplicity or label, or an arc multiplicity, that
-    is not an exact integer, as ``diagram_from_json`` does for JSON
-    input; bands are checked first, then arcs, each in order."""
+def _slots(diagram: RRDiagram) -> dict[tuple, Band | Arc]:
+    """Each band under its (handle, index), then each arc under (index,).
+
+    A step or an endpoint without its last field is the key of what it
+    names, so a negative or out-of-range index, or an unknown handle,
+    names nothing.  A band multiplicity or label, or an arc multiplicity,
+    that is not an exact integer raises InvalidParamsError, as
+    ``diagram_from_json`` does for JSON input, in table order."""
+    slots: dict[tuple, Band | Arc] = {}
     for name in HANDLES:
         for i, band in enumerate(diagram.handle(name).bands):
-            check_int(band.multiplicity, f"band {name}.{i} multiplicity")
+            check_int(band.multiplicity, "band {}.{} multiplicity", name, i)
             for label, what in ((band.disk, "disk"), (band.longitude, "longitude")):
                 if label is not None:
-                    check_int(label, f"band {name}.{i} {what} label")
+                    check_int(label, "band {}.{} {} label", name, i, what)
+            slots[name, i] = band
     for i, arc in enumerate(diagram.arcs):
-        check_int(arc.multiplicity, f"arc {i} multiplicity")
+        check_int(arc.multiplicity, "arc {} multiplicity", i)
+        slots[i,] = arc
+    return slots
+
+
+def _named(key: tuple) -> str:
+    """``band A.0`` for a band's slot key, ``arc 3`` for an arc's."""
+    return ("band " if len(key) == 2 else "arc ") + ".".join(map(str, key))
 
 
 def validate(diagram: RRDiagram) -> list[Violation]:
@@ -237,47 +242,42 @@ def validate(diagram: RRDiagram) -> list[Violation]:
     exact integer is not a constraint failure but bad input: it raises
     InvalidParamsError.
     """
-    _check_integers(diagram)
+    slots = _slots(diagram)
     out: list[Violation] = []
     _check_handle(diagram.handle_a, out)
     _check_handle(diagram.handle_b, out)
 
-    # Band counts by handle name; a name outside HANDLES has no bands.
-    band_count = {name: len(diagram.handle(name).bands) for name in HANDLES}
-    arcs_ok = True
-    for i, arc in enumerate(diagram.arcs):
+    # Arc strands at each end they touch; band ends are found by plain tuples.
+    attached: dict[Endpoint, int] = {}
+    for key, arc in slots.items():
+        if len(key) == 2:
+            continue
         if arc.multiplicity < 1:
             out.append(
-                Violation("BadMultiplicity", f"arc {i} has multiplicity {arc.multiplicity}")
+                Violation("BadMultiplicity", f"arc {key[0]} has multiplicity {arc.multiplicity}")
             )
         for endpoint in (arc.start, arc.stop):
-            if endpoint.band >= band_count.get(endpoint.handle, 0):
-                arcs_ok = False
+            attached[endpoint] = attached.get(endpoint, 0) + arc.multiplicity
+            if endpoint[:-1] not in slots:
                 out.append(
                     Violation(
                         "UnknownEndpoint",
-                        f"arc {i} touches missing band {endpoint.token()}",
+                        f"arc {key[0]} touches missing band {endpoint.token()}",
                     )
                 )
-    if arcs_ok:
-        attached: dict[Endpoint, int] = {}
-        for arc in diagram.arcs:
-            attached[arc.start] = attached.get(arc.start, 0) + arc.multiplicity
-            attached[arc.stop] = attached.get(arc.stop, 0) + arc.multiplicity
-        # Endpoints and steps are NamedTuples, found here by plain tuples.
-        for name in HANDLES:
-            for i, band in enumerate(diagram.handle(name).bands):
-                for end in ENDS:
-                    got = attached.get((name, i, end), 0)
-                    if got != band.multiplicity:
-                        out.append(
-                            Violation(
-                                "EndpointBalance",
-                                f"band end {name}.{i}.{end} carries {got} arc "
-                                f"strands but the band has multiplicity "
-                                f"{band.multiplicity}",
-                            )
+    if not any(v.kind == "UnknownEndpoint" for v in out):
+        for key, band in slots.items():
+            for end in ENDS if len(key) == 2 else ():
+                got = attached.get((*key, end), 0)
+                if got != band.multiplicity:
+                    out.append(
+                        Violation(
+                            "EndpointBalance",
+                            f"band end {key[0]}.{key[1]}.{end} carries {got} arc "
+                            f"strands but the band has multiplicity "
+                            f"{band.multiplicity}",
                         )
+                    )
 
     # Each walk is read once, as counts of (step, next step) pairs: they
     # give the usage of each step, and the walk closes when every distinct
@@ -288,7 +288,7 @@ def validate(diagram: RRDiagram) -> list[Violation]:
         walks[curve] = pairs = Counter(zip(steps, steps[1:] + steps[:1]))
         for (step, _), count in pairs.items():
             usage[step] = usage.get(step, 0) + count
-    table = _step_table(diagram, usage)
+    table = _step_table(slots, usage)
     for curve, steps in diagram.curves.items():
         if not steps:
             out.append(Violation("EmptyCurve", f"curve {curve} has no steps"))
@@ -314,60 +314,44 @@ def validate(diagram: RRDiagram) -> list[Violation]:
                     )
                 )
     if not any(v.kind in ("UnknownStep", "EmptyCurve") for v in out) and diagram.curves:
-        for name in HANDLES:
-            for i, band in enumerate(diagram.handle(name).bands):
-                used = usage.get((name, i, 1), 0) + usage.get((name, i, -1), 0)
-                if used != band.multiplicity:
-                    out.append(
-                        Violation(
-                            "SlotUsage",
-                            f"band {name}.{i} has multiplicity "
-                            f"{band.multiplicity} but is traversed {used} times",
-                        )
-                    )
-        for i, arc in enumerate(diagram.arcs):
-            used = usage.get((i, 1), 0) + usage.get((i, -1), 0)
-            if used != arc.multiplicity:
+        for key, slot in slots.items():
+            used = usage.get((*key, 1), 0) + usage.get((*key, -1), 0)
+            if used != slot.multiplicity:
+                verb = "traversed" if len(key) == 2 else "used"
                 out.append(
                     Violation(
                         "SlotUsage",
-                        f"arc {i} has multiplicity {arc.multiplicity} "
-                        f"but is used {used} times",
+                        f"{_named(key)} has multiplicity {slot.multiplicity} "
+                        f"but is {verb} {used} times",
                     )
                 )
     return out
 
 
-def _step_table(diagram: RRDiagram, steps) -> dict[Step, tuple | str]:
+def _step_table(slots: dict, steps) -> dict[Step, tuple | str]:
     """Each of the distinct ``steps`` as (entry end, exit end, letter,
     count), or as its fault, worded to follow "curve <name> ", when its
     band or arc is missing or its direction is not +-1.  Band ends are
     plain tuples; an arc spells no letter, an unlabeled band has count None."""
-    bands_of = {"A": diagram.handle_a.bands, "B": diagram.handle_b.bands}
     table: dict[Step, tuple | str] = dict.fromkeys(steps)
     for step in table:
-        traverse = isinstance(step, TraverseStep)
+        key = step[:-1]
+        slot = slots.get(key)
         if step.direction not in (1, -1):
-            where = f"band {step.handle}.{step.band}" if traverse else f"arc {step.arc}"
             direction = f"in direction {step.direction!r}, not 1 or -1"
-            table[step] = f"steps through {where} {direction}"
+            table[step] = f"steps through {_named(key)} {direction}"
             continue
-        if traverse:
-            handle, band = step.handle, step.band
-            if band >= len(bands_of.get(handle, ())):
-                table[step] = f"traverses missing band {handle}.{band}"
-                continue
-            disk = bands_of[handle][band].disk
-            exponent = 0 if disk is None else disk * step.direction
-            entry, exit_ = (handle, band, "-"), (handle, band, "+")
-            letter = handle if exponent > 0 else handle.lower()
-            count = None if disk is None else abs(exponent)
-        elif step.arc < len(diagram.arcs):
-            arc = diagram.arcs[step.arc]
-            entry, exit_, letter, count = arc.start, arc.stop, "", 0
+        if slot is None:
+            verb = "traverses" if len(key) == 2 else "uses"
+            table[step] = f"{verb} missing {_named(key)}"
+            continue
+        if len(key) == 2:
+            exponent = 0 if slot.disk is None else slot.disk * step.direction
+            entry, exit_ = (*key, "-"), (*key, "+")
+            letter = key[0] if exponent > 0 else key[0].lower()
+            count = None if slot.disk is None else abs(exponent)
         else:
-            table[step] = f"uses missing arc {step.arc}"
-            continue
+            entry, exit_, letter, count = slot.start, slot.stop, "", 0
         ends = (entry, exit_) if step.direction > 0 else (exit_, entry)
         table[step] = *ends, letter, count
     return table
@@ -384,11 +368,11 @@ def trace_word(diagram: RRDiagram, curve: str) -> CyclicWord:
         raise UnknownCurveError(
             f"no curve {curve!r}; have {sorted(diagram.curves)}"
         )
-    _check_integers(diagram)
+    slots = _slots(diagram)
     steps = diagram.curves[curve]
     # Counts of each step, in order of first occurrence.
     occurrences = Counter(steps)
-    table = _step_table(diagram, occurrences)
+    table = _step_table(slots, occurrences)
     size = 0
     for step, row in table.items():
         if isinstance(row, str):
@@ -449,7 +433,7 @@ class CanonicalParams(_Record, defaults=(None,) * 5):
         if given != names:
             raise InvalidParamsError(f"{self.variant} {phrase}, got {given}")
         for name in given:
-            check_int(getattr(self, name), f"{self.variant} parameter {name}")
+            check_int(getattr(self, name), "{} parameter {}", self.variant, name)
         if self.variant == "fig2a":
             if self.p == 0:
                 raise InvalidParamsError("fig2a needs p != 0")

@@ -59,13 +59,14 @@ def check_budget(size: int, what: str) -> None:
         raise BudgetExceededError(f"more than {_MAX_EXPANDED_LETTERS:,} {what}")
 
 
-def check_int(value, what: str) -> int:
+def check_int(value, what: str, *args) -> int:
     """Return ``value`` if it is an exact integer, else raise
-    InvalidParamsError naming ``what``; floats, strings and booleans are
-    refused.  Every integer parameter or label of a diagram, a diagram
-    family or a referee, from the Python API or from JSON, passes here."""
+    InvalidParamsError naming ``what.format(*args)``, a text built only
+    then; floats, strings and booleans are refused.  Every integer
+    parameter or label of a diagram, a diagram family or a referee, from
+    the Python API or from JSON, passes here."""
     if type(value) is not int:
-        raise InvalidParamsError(f"{what} must be an integer, got {value!r}")
+        raise InvalidParamsError(f"{what.format(*args)} must be an integer, got {value!r}")
     return value
 
 

@@ -144,6 +144,23 @@ class TestClassify:
         assert data["structure"] == "TwistedProduct"
         assert isinstance(data["separating_word"], str)
 
+    @pytest.mark.parametrize("params, twist, word, fields", [
+        (CanonicalParams.fig1a(), 1, "ABab", (True, True, True, "SeparatedDisk")),
+        (CanonicalParams.fig2a(1, 5), 0, "1", (True, True, True, "SeparatedDisk")),
+        (CanonicalParams.fig2a(2, 1), 1, "ABab", (True, True, False, "Product")),
+        (CanonicalParams.fig2a(5, 2), 2, "AABaab", (True, False, False, "TwistedProduct")),
+        (CanonicalParams.fig2a(7, 3), 2, "AABaab", (True, False, False, "TwistedProduct")),
+        (CanonicalParams.fig2a(5, 3), -2, "AAbaaB", (True, False, False, "TwistedProduct")),
+        (CanonicalParams.fig3a(2, 3, 2, 1), 1, "ABab", (False, True, False, "Product")),
+        (CanonicalParams.fig3a(2, 3, 3, -1), -1, "AbaB", (False, True, False, "Product")),
+    ])
+    def test_pinned_json(self, params, twist, word, fields):
+        type_I, type_II, separated, structure = fields
+        assert classify(params).to_json() == {
+            "type_I": type_I, "type_II": type_II, "separated": separated,
+            "structure": structure, "separating_word": word, "twist": twist,
+        }
+
     def test_deterministic(self):
         params = CanonicalParams.fig2a(7, 3)
         assert classify(params) == classify(params)

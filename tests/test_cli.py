@@ -388,6 +388,7 @@ class TestExitProtocol:
             (("curves",), ["A.0.+"]),
             (("handles", "A", "bands", 0, "label"), [3, 1, 7]),
             (("arcs", 0, "from"), "A.-1.+"),
+            (("arcs", 0, "from"), "A. 0.+"),
         ],
     )
     def test_malformed_diagram_json(self, path, value):

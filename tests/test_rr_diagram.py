@@ -2,6 +2,7 @@ import re
 from math import gcd
 
 import pytest
+from hypothesis import given, strategies as st
 
 from genus2pairs.classifier import classify
 from genus2pairs.errors import (
@@ -64,6 +65,53 @@ class TestTokens:
     def test_malformed_tokens(self, bad):
         with pytest.raises(InvalidParamsError):
             parse_step(bad)
+
+    # Each is not what token() writes; int() would read most of them.
+    @pytest.mark.parametrize("bad", [
+        "A. 1.+", "A.+1.+", "A.1_0.+", "A.00.+", "A.-0.+", "B.0 .-", "A.0.+\n",
+        "arc:+2.+", "arc:\u0663.-", "B.1\u0663.-", "arc:01.+", "a.0.+",
+    ])
+    def test_only_plain_decimal_indices(self, bad):
+        with pytest.raises(InvalidParamsError) as info:
+            parse_step(bad)
+        assert str(info.value) == f"malformed step token {bad!r}"
+        with pytest.raises(InvalidParamsError) as info:
+            parse_endpoint(bad)
+        assert str(info.value) == f"malformed endpoint token {bad!r}"
+
+    def test_arc_is_no_endpoint(self):
+        assert parse_step("arc:10.+") == ArcStep(10, 1)
+        with pytest.raises(InvalidParamsError, match="malformed endpoint token"):
+            parse_endpoint("arc:10.+")
+
+    @pytest.mark.parametrize("bad", [3, None, b"A.0.+", ["A.0.+"]], ids=repr)
+    def test_non_string_tokens(self, bad):
+        with pytest.raises(InvalidParamsError) as info:
+            parse_step(bad)
+        assert str(info.value) == f"malformed step token {bad!r}"
+        with pytest.raises(InvalidParamsError) as info:
+            parse_endpoint(bad)
+        assert str(info.value) == f"malformed endpoint token {bad!r}"
+
+    @given(st.text(alphabet="ABarc:.+-0123456789 _\u0663", max_size=9))
+    def test_accepted_tokens_round_trip(self, text):
+        for parse in (parse_step, parse_endpoint):
+            try:
+                parsed = parse(text)
+            except InvalidParamsError:
+                continue
+            assert parsed.token() == text
+
+    @given(st.sampled_from(["A", "B", None]), st.integers(0, 10**30), st.booleans())
+    def test_written_tokens_parse(self, handle, index, plus):
+        direction = 1 if plus else -1
+        if handle is None:
+            step = ArcStep(index, direction)
+        else:
+            step = TraverseStep(handle, index, direction)
+            end = Endpoint(handle, index, "+" if plus else "-")
+            assert parse_endpoint(end.token()) == end
+        assert parse_step(step.token()) == step
 
 
 class TestHandleConstraints:
@@ -696,6 +744,45 @@ def _fig3a_broken():
     steps[6] = TraverseStep("B", 0, -1)
     d.curves = {**d.curves, "alpha": tuple(steps)}
     return d
+
+
+class TestSlotTable:
+    """A step or endpoint names a band or arc only by a key in the slot
+    table: a negative index names nothing, as an out-of-range one does."""
+
+    def test_negative_step_indices(self):
+        d = build_canonical(CanonicalParams.fig2a(3, 1))
+        d.curves["alpha"] = (
+            TraverseStep("A", -1, 1), ArcStep(-4, 1), *d.curves["alpha"][2:]
+        )
+        assert [str(v) for v in validate(d)] == [
+            "UnknownStep: curve alpha traverses missing band A.-1",
+            "UnknownStep: curve alpha uses missing arc -4",
+        ]
+        with pytest.raises(InvalidParamsError) as info:
+            trace_word(d, "alpha")
+        assert str(info.value) == "curve alpha traverses missing band A.-1"
+
+    @pytest.mark.parametrize("step, message", [
+        (TraverseStep("A", -1, 1), "curve alpha traverses missing band A.-1"),
+        (ArcStep(-1, 1), "curve alpha uses missing arc -1"),
+        (TraverseStep("B", -1, -1), "curve alpha traverses missing band B.-1"),
+    ])
+    def test_trace_word_refuses_negative_indices(self, step, message):
+        d = build_canonical(CanonicalParams.fig2a(3, 1))
+        d.curves["alpha"] = (step,)
+        with pytest.raises(InvalidParamsError) as info:
+            trace_word(d, "alpha")
+        assert str(info.value) == message
+
+    def test_negative_endpoint_index(self):
+        d = build_canonical(CanonicalParams.fig2a(3, 1))
+        d.arcs = (Arc(Endpoint("A", -1, "+"), d.arcs[0].stop, 1),) + d.arcs[1:]
+        assert [str(v) for v in validate(d)] == [
+            "UnknownEndpoint: arc 0 touches missing band A.-1.+",
+            "OpenCurve: curve alpha breaks between step 0 (exits A.0.+) and "
+            "step 1 (enters A.-1.+)",
+        ]
 
 
 class TestViolationMessages:
