@@ -15,9 +15,10 @@ A^n B A^-n B^-1 where n is the twist, which is also how the product
 structure is certified; ``separating_word`` constructs it.
 
 Pairs (alpha, beta) with beta a proper power obey a simpler dichotomy,
-implemented by ``classify_power_pair``: either the two curves are
-separated, or they cobound a nonseparating annulus, which for the word
-data means the two conjugacy classes agree up to inversion.
+``classify_power_pair``: the curves are separated, or they cobound a
+nonseparating annulus, when the classes agree up to inversion.  It reads
+cyclic cores in any rotation: at one length, alpha's core or its inverse
+is then a substring of beta's core doubled.
 """
 
 from __future__ import annotations
@@ -31,9 +32,9 @@ from .errors import (
     EmptyWordError,
     InvalidParamsError,
 )
-from .primitivity import as_proper_power
 from .rr_diagram import CanonicalParams
-from .words import CyclicWord, Word, check_budget, cyclic_equal
+from .words import CyclicWord, Word, check_budget
+from .words import _cyclic_core, _invert, _power_period, _reduced_letters
 
 
 class ProductStructure(enum.Enum):
@@ -162,12 +163,13 @@ def classify_power_pair(
     are separated.  Geometric realizability of the input pair is the
     caller's responsibility.
     """
-    alpha = CyclicWord(alpha_word)
-    beta = CyclicWord(beta_word)
+    # Cyclic cores in the rotation they come in; a CyclicWord is its own.
+    alpha, beta = (_cyclic_core(_reduced_letters(w)) for w in (alpha_word, beta_word))
     if not alpha:
         raise EmptyWordError("alpha must be nontrivial")
-    if as_proper_power(beta) is None:
-        raise BetaNotProperPowerError(f"beta {beta} is not a proper power")
-    if cyclic_equal(alpha, beta, up_to_inversion=True):
+    if _power_period(beta) == len(beta):
+        raise BetaNotProperPowerError(f"beta {CyclicWord(beta)} is not a proper power")
+    doubled = beta * 2
+    if len(alpha) == len(beta) and (alpha in doubled or _invert(alpha) in doubled):
         return PowerPairOutcome.NONSEPARATING_ANNULUS
     return PowerPairOutcome.SEPARATED

@@ -213,9 +213,9 @@ def _slots(diagram: RRDiagram) -> dict[tuple, Band | Arc]:
 
     A step or an endpoint without its last field is the key of what it
     names, so a negative or out-of-range index, or an unknown handle,
-    names nothing.  A band multiplicity or label, or an arc multiplicity,
-    that is not an exact integer raises InvalidParamsError, as
-    ``diagram_from_json`` does for JSON input, in table order."""
+    names nothing.  A band multiplicity or label, or an arc multiplicity
+    or endpoint index, that is not an exact integer raises
+    InvalidParamsError, as ``diagram_from_json`` does, in table order."""
     slots: dict[tuple, Band | Arc] = {}
     for name in HANDLES:
         for i, band in enumerate(diagram.handle(name).bands):
@@ -226,6 +226,8 @@ def _slots(diagram: RRDiagram) -> dict[tuple, Band | Arc]:
             slots[name, i] = band
     for i, arc in enumerate(diagram.arcs):
         check_int(arc.multiplicity, "arc {} multiplicity", i)
+        for endpoint in (arc.start, arc.stop):
+            check_int(endpoint.band, "arc {} endpoint band index", i)
         slots[i,] = arc
     return slots
 
@@ -288,7 +290,7 @@ def validate(diagram: RRDiagram) -> list[Violation]:
         walks[curve] = pairs = Counter(zip(steps, steps[1:] + steps[:1]))
         for (step, _), count in pairs.items():
             usage[step] = usage.get(step, 0) + count
-    table = _step_table(slots, usage)
+    table = {step: _step_row(slots, step) for step in usage}
     for curve, steps in diagram.curves.items():
         if not steps:
             out.append(Violation("EmptyCurve", f"curve {curve} has no steps"))
@@ -328,33 +330,30 @@ def validate(diagram: RRDiagram) -> list[Violation]:
     return out
 
 
-def _step_table(slots: dict, steps) -> dict[Step, tuple | str]:
-    """Each of the distinct ``steps`` as (entry end, exit end, letter,
-    count), or as its fault, worded to follow "curve <name> ", when its
-    band or arc is missing or its direction is not +-1.  Band ends are
-    plain tuples; an arc spells no letter, an unlabeled band has count None."""
-    table: dict[Step, tuple | str] = dict.fromkeys(steps)
-    for step in table:
-        key = step[:-1]
-        slot = slots.get(key)
-        if step.direction not in (1, -1):
-            direction = f"in direction {step.direction!r}, not 1 or -1"
-            table[step] = f"steps through {_named(key)} {direction}"
-            continue
-        if slot is None:
-            verb = "traverses" if len(key) == 2 else "uses"
-            table[step] = f"{verb} missing {_named(key)}"
-            continue
-        if len(key) == 2:
-            exponent = 0 if slot.disk is None else slot.disk * step.direction
-            entry, exit_ = (*key, "-"), (*key, "+")
-            letter = key[0] if exponent > 0 else key[0].lower()
-            count = None if slot.disk is None else abs(exponent)
-        else:
-            entry, exit_, letter, count = slot.start, slot.stop, "", 0
-        ends = (entry, exit_) if step.direction > 0 else (exit_, entry)
-        table[step] = *ends, letter, count
-    return table
+def _step_row(slots: dict, step: Step) -> tuple | str:
+    """A step, its index and direction exact integers, as (entry end, exit
+    end, letter, count), or as its fault, worded to follow "curve <name> ",
+    when its band or arc is missing or its direction is not +-1.  Band ends
+    are plain tuples; an arc spells no letter, an unlabeled band has count None."""
+    check_int(step[-2], "index of step {!r}", step)
+    check_int(step.direction, "direction of step {!r}", step)
+    key = step[:-1]
+    slot = slots.get(key)
+    if step.direction not in (1, -1):
+        direction = f"in direction {step.direction!r}, not 1 or -1"
+        return f"steps through {_named(key)} {direction}"
+    if slot is None:
+        verb = "traverses" if len(key) == 2 else "uses"
+        return f"{verb} missing {_named(key)}"
+    if len(key) == 2:
+        exponent = 0 if slot.disk is None else slot.disk * step.direction
+        entry, exit_ = (*key, "-"), (*key, "+")
+        letter = key[0] if exponent > 0 else key[0].lower()
+        count = None if slot.disk is None else abs(exponent)
+    else:
+        entry, exit_, letter, count = slot.start, slot.stop, "", 0
+    ends = (entry, exit_) if step.direction > 0 else (exit_, entry)
+    return *ends, letter, count
 
 
 def trace_word(diagram: RRDiagram, curve: str) -> CyclicWord:
@@ -362,7 +361,7 @@ def trace_word(diagram: RRDiagram, curve: str) -> CyclicWord:
 
     Raises for the first bad step in walk order, BudgetExceededError before
     writing out more letters than ``words.check_budget`` allows, and
-    InvalidParamsError for a multiplicity or label that is not an integer.
+    InvalidParamsError for a number of the diagram that is not an integer.
     """
     if curve not in diagram.curves:
         raise UnknownCurveError(
@@ -372,9 +371,9 @@ def trace_word(diagram: RRDiagram, curve: str) -> CyclicWord:
     steps = diagram.curves[curve]
     # Counts of each step, in order of first occurrence.
     occurrences = Counter(steps)
-    table = _step_table(slots, occurrences)
-    size = 0
-    for step, row in table.items():
+    table, size = {}, 0
+    for step in occurrences:
+        table[step] = row = _step_row(slots, step)
         if isinstance(row, str):
             raise InvalidParamsError(f"curve {curve} {row}")
         if row[3] is None:
@@ -462,12 +461,20 @@ class CanonicalParams(_Record, defaults=(None,) * 5):
 
 
 def alpha_word_fig3a(a: int, b: int, p: int, eps: int) -> CyclicWord:
-    """The conjugacy class carried by the fig3a alpha curve."""
+    """The class of the fig3a alpha curve: the syllables A^p B and
+    A^(p+eps) B in the balanced (Christoffel) arrangement a curve realizes.
+
+    It is written in its least rotation, which starts at a syllable, as
+    every run of A does.  Syllable strings compare as their first
+    differing syllables, and A^p B is less than A^(p-1) B but greater
+    than A^(p+1) B, so the substitution keeps the order of rotations for
+    eps = -1 and reverses it for eps = +1.  The lower Christoffel word is
+    the least rotation of its class, and its reverse the greatest.
+    """
     CanonicalParams.fig3a(a, b, p, eps).validated()
     check_budget(a * p + b * (p + eps) + a + b, "letters in the fig3a alpha word")
-    # The balanced arrangement of the exponents is the one a curve realizes.
     syllables = {ord("A"): "A" * p + "B", ord("B"): "A" * (p + eps) + "B"}
-    return CyclicWord(_christoffel(a, b).translate(syllables))
+    return CyclicWord._raw(_christoffel(a, b)[::-eps].translate(syllables))
 
 
 def build_canonical(params: CanonicalParams) -> RRDiagram:

@@ -1,4 +1,6 @@
+from itertools import product
 from math import gcd
+from unittest import mock
 
 import pytest
 from hypothesis import given, strategies as st
@@ -16,10 +18,11 @@ from genus2pairs.errors import (
     BetaNotProperPowerError,
     EmptyWordError,
     InvalidParamsError,
+    InvalidWordError,
 )
-from genus2pairs.primitivity import is_primitive
+from genus2pairs.primitivity import as_proper_power, is_primitive
 from genus2pairs.rr_diagram import CanonicalParams
-from genus2pairs.words import CyclicWord, Word
+from genus2pairs.words import CyclicWord, Word, _canonical_rotation, cyclic_equal
 
 coprime_pairs = st.tuples(
     st.integers(-30, 30).filter(lambda p: p != 0), st.integers(-30, 30)
@@ -221,3 +224,93 @@ class TestClassifyPowerPair:
             return
         assert classify_power_pair(~alpha_word, beta) is value
         assert classify_power_pair(alpha_word, ~beta) is value
+
+
+# Every freely reduced word of at most four letters, the empty one first.
+REDUCED_4 = [
+    word
+    for n in range(5)
+    for word in map("".join, product("AaBb", repeat=n))
+    if not any(pair in word for pair in ("Aa", "aA", "Bb", "bB"))
+]
+MALFORMED = ["C", "A^", "A^x", "Ab!", "A^99999999999", ["A", "Z"], 3]
+
+
+def _rotation_route(alpha_word, beta_word):
+    """The dichotomy on least rotations: CyclicWord, as_proper_power and
+    cyclic_equal, each check in the order classify_power_pair keeps."""
+    alpha = CyclicWord(alpha_word)
+    beta = CyclicWord(beta_word)
+    if not alpha:
+        raise EmptyWordError("alpha must be nontrivial")
+    if as_proper_power(beta) is None:
+        raise BetaNotProperPowerError(f"beta {beta} is not a proper power")
+    if cyclic_equal(alpha, beta, up_to_inversion=True):
+        return PowerPairOutcome.NONSEPARATING_ANNULUS
+    return PowerPairOutcome.SEPARATED
+
+
+def _outcome(decide, alpha, beta):
+    """The value of ``decide(alpha, beta)``, or its exception type and text."""
+    try:
+        return decide(alpha, beta)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+class TestPowerPairParity:
+    """classify_power_pair works on cyclic cores as they come, with no
+    least rotation; every outcome and message is the rotation route's."""
+
+    @pytest.mark.parametrize("kind", [str, Word, CyclicWord], ids=lambda k: k.__name__)
+    def test_all_short_words(self, kind):
+        words = [kind(w) for w in REDUCED_4]
+        mismatches = [
+            (alpha, beta)
+            for alpha in words
+            for beta in words
+            if _outcome(classify_power_pair, alpha, beta)
+            != _outcome(_rotation_route, alpha, beta)
+        ]
+        assert not mismatches[:5]
+
+    def test_malformed_inputs(self):
+        inputs = MALFORMED + ["", "A", "BAA", "AAbAAb", "aBaB"]
+        for alpha in inputs:
+            for beta in inputs:
+                assert _outcome(classify_power_pair, alpha, beta) == _outcome(
+                    _rotation_route, alpha, beta
+                ), (alpha, beta)
+
+    @pytest.mark.parametrize("alpha, beta, error, text", [
+        ("C", "Z", InvalidWordError, "cannot parse word 'C'"),
+        ("A", "Z", InvalidWordError, "cannot parse word 'Z'"),
+        ("", "Z", InvalidWordError, "cannot parse word 'Z'"),
+        ("Aa", "AB", EmptyWordError, "alpha must be nontrivial"),
+        ("A", "BA", BetaNotProperPowerError, "beta AB is not a proper power"),
+        ("A", "", BetaNotProperPowerError, "beta 1 is not a proper power"),
+    ])
+    def test_precedence(self, alpha, beta, error, text):
+        """Alpha is parsed, then beta; then alpha must be nontrivial, then
+        beta a proper power, named by its least rotation."""
+        with pytest.raises(error) as info:
+            classify_power_pair(alpha, beta)
+        assert str(info.value).startswith(text)
+
+    def test_success_path_rotates_nothing(self):
+        pairs = [
+            ("BAABAABAA", "AAB" * 3),
+            (Word("BAb") * Word("AB") ** 2 * ~Word("BAb"), Word("ba") ** 2),
+            (CyclicWord("ABAB"), CyclicWord("BABA")),
+            (Word("A"), "bb"),
+            ("AAB", CyclicWord("AABAAB")),
+        ]
+        expected = [_rotation_route(alpha, beta) for alpha, beta in pairs]
+        assert set(expected) == set(PowerPairOutcome)
+        spy = mock.Mock(wraps=_canonical_rotation)
+        with mock.patch("genus2pairs.words._canonical_rotation", spy), mock.patch(
+            "genus2pairs.primitivity._canonical_rotation", spy
+        ):
+            outcomes = [classify_power_pair(alpha, beta) for alpha, beta in pairs]
+        assert outcomes == expected
+        assert spy.call_count == 0

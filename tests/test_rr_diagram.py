@@ -1,5 +1,6 @@
 import re
 from math import gcd
+from unittest import mock
 
 import pytest
 from hypothesis import given, strategies as st
@@ -30,7 +31,7 @@ from genus2pairs.rr_diagram import (
     validate,
 )
 from genus2pairs.primitivity import is_primitive
-from genus2pairs.words import CyclicWord
+from genus2pairs.words import CyclicWord, _canonical_rotation, _christoffel
 
 FIG3A_GRID = [
     (a, b, p, eps)
@@ -645,6 +646,30 @@ class TestAlphaWordFig3a:
         if inner and b > 1:
             assert max(inner) - min(inner) <= 1
 
+    def test_least_rotation_closed_form(self):
+        """The closed form is the least rotation of the Christoffel word's
+        syllable image, as the general rotation finds it."""
+        count = 0
+        for n in range(2, 21):
+            for a in (a for a in range(1, n) if gcd(a, n) == 1):
+                for p in range(2, 10):
+                    for eps in (e for e in (1, -1) if p + e > 1):
+                        syllables = {ord("A"): "A" * p + "B",
+                                     ord("B"): "A" * (p + eps) + "B"}
+                        image = _christoffel(a, n - a).translate(syllables)
+                        got = alpha_word_fig3a(a, n - a, p, eps).letters
+                        assert got == _canonical_rotation(image), (a, n - a, p, eps)
+                        count += 1
+        assert count == 1905
+
+    def test_no_rotation_is_computed(self):
+        with mock.patch(
+            "genus2pairs.words._canonical_rotation", wraps=_canonical_rotation
+        ) as spy:
+            for a, b, p, eps in FIG3A_GRID:
+                alpha_word_fig3a(a, b, p, eps)
+        assert spy.call_count == 0
+
 
 class TestJson:
     @pytest.mark.parametrize(
@@ -783,6 +808,55 @@ class TestSlotTable:
             "OpenCurve: curve alpha breaks between step 0 (exits A.0.+) and "
             "step 1 (enters A.-1.+)",
         ]
+
+    @pytest.mark.parametrize("step, message", [
+        (TraverseStep("A", "0", 1), "index of step TraverseStep(handle='A', "
+         "band='0', direction=1) must be an integer, got '0'"),
+        (TraverseStep("A", 0.0, 1), "index of step TraverseStep(handle='A', "
+         "band=0.0, direction=1) must be an integer, got 0.0"),
+        (ArcStep(0.0, 1), "index of step ArcStep(arc=0.0, direction=1) must be "
+         "an integer, got 0.0"),
+        (TraverseStep("A", 0, 1.0), "direction of step TraverseStep(handle='A', "
+         "band=0, direction=1.0) must be an integer, got 1.0"),
+        (TraverseStep("A", 0, True), "direction of step TraverseStep(handle='A', "
+         "band=0, direction=True) must be an integer, got True"),
+        (ArcStep(0, "+"), "direction of step ArcStep(arc=0, direction='+') must "
+         "be an integer, got '+'"),
+    ])
+    def test_non_integer_step_fields(self, step, message):
+        """A step names its slot by exact integers: 0.0 and "0" are not
+        band 0, and True is not direction 1."""
+        d = build_canonical(CanonicalParams.fig2a(3, 1))
+        d.curves["alpha"] = (step, *d.curves["alpha"][1:])
+        for read in (validate, lambda d: trace_word(d, "alpha")):
+            with pytest.raises(InvalidParamsError) as info:
+                read(d)
+            assert str(info.value) == message
+
+    def test_non_integer_index_after_a_missing_arc(self):
+        # trace_word raises for the first bad step in walk order; validate
+        # raises for the non-integer wherever it is.
+        d = build_canonical(CanonicalParams.fig2a(3, 1))
+        d.curves["alpha"] = (ArcStep(99, 1), TraverseStep("A", "0", 1))
+        with pytest.raises(InvalidParamsError) as info:
+            trace_word(d, "alpha")
+        assert str(info.value) == "curve alpha uses missing arc 99"
+        with pytest.raises(InvalidParamsError, match="index of step TraverseStep"):
+            validate(d)
+        d.curves["alpha"] = d.curves["alpha"][::-1]
+        with pytest.raises(InvalidParamsError, match="index of step TraverseStep"):
+            trace_word(d, "alpha")
+
+    @pytest.mark.parametrize("band", ["0", 0.0, None])
+    def test_non_integer_endpoint_index(self, band):
+        d = build_canonical(CanonicalParams.fig2a(3, 1))
+        d.arcs = (d.arcs[0], Arc(d.arcs[1].start, Endpoint("A", band, "-"), 1),
+                  *d.arcs[2:])
+        message = f"arc 1 endpoint band index must be an integer, got {band!r}"
+        for read in (validate, lambda d: trace_word(d, "alpha")):
+            with pytest.raises(InvalidParamsError) as info:
+                read(d)
+            assert str(info.value) == message
 
 
 class TestViolationMessages:

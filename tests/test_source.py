@@ -113,6 +113,13 @@ def test_diagrams_import_no_decisions():
     assert not loaded & {"genus2pairs.primitivity", "genus2pairs.automorphisms"}
 
 
+def test_classifier_imports_no_primitivity():
+    """``classify_power_pair`` decides on cyclic cores, with no decision module."""
+    loaded = _loaded_after_import("genus2pairs.classifier")
+    assert "genus2pairs.classifier" in loaded
+    assert "genus2pairs.primitivity" not in loaded
+
+
 @pytest.mark.parametrize("modules", [
     ("primitivity",), ("rr_diagram",), ("classifier",),
     ("oracle", "automorphisms"), ("heegaard",),
