@@ -36,7 +36,6 @@ _INVERT_TABLE = str.maketrans(_INV)
 _ORDER_KEY = str.maketrans("AaBb", "0123")
 
 _TOKEN = re.compile(r"([AaBb])(?:\^(-?\d+))?\s*")
-_DELETE_LETTERS = str.maketrans("", "", LETTERS)
 # No word, walk or diagram is written out past this many letters or steps.
 _MAX_EXPANDED_LETTERS = 10_000_000
 # Words up to this length take the run-start rotation path, which has
@@ -79,7 +78,7 @@ def parse_letters(text: str) -> str:
     ''
     """
     stripped = text.strip()
-    if not stripped.translate(_DELETE_LETTERS):
+    if not stripped.strip(LETTERS):
         return stripped
     if stripped == "1":
         return ""
@@ -201,11 +200,15 @@ def _canonical_rotation(letters: str) -> str:
 
     The least rotation starts at the least letter, and any letter that
     follows a run of it is larger, so it starts where a cyclic run of
-    the least letter starts.  Short words compare all those starts.
-    Longer words are first cut to their primitive root, whose least
-    rotation, repeated, is the answer; ``_least_start`` then finds
-    where the root's least rotation starts.
+    the least letter starts.  Short words find those starts with
+    ``str.find``, jump past the rest of each run with one ``lstrip``, and
+    keep the least slice of the doubled string seen so far (at first the
+    word itself) and where it starts.  Longer words are first cut to their
+    primitive root, whose least rotation, repeated, is the answer;
+    ``_least_start`` then finds where the root's least rotation starts.
 
+    >>> _canonical_rotation("AbAA")  # the least run wraps around the end
+    'AAAb'
     >>> _canonical_rotation("BAAB" * 30)[:8]
     'AABBAABB'
     >>> w = "B" + "A" * 99
@@ -216,21 +219,24 @@ def _canonical_rotation(letters: str) -> str:
     if n <= 1:
         return letters
     keyed = letters.translate(_ORDER_KEY)
+    least = "0" if "0" in keyed else "1" if "1" in keyed else "2" if "2" in keyed else "3"
     if n <= _SHORT_ROTATION:
-        least = min(keyed)
-        starts = [i for i in range(n) if keyed[i] == least and keyed[i - 1] != least]
-        if not starts:  # a power of one letter: every rotation is the same
-            return letters
-        if len(starts) == 1:
-            best = starts[0]
-        else:
-            doubled = keyed + keyed
-            best = min(starts, key=lambda i: doubled[i : i + n])
+        doubled = keyed + keyed
+        word, best = keyed, 0
+        i = keyed.find(least)
+        while i >= 0:
+            if keyed[i - 1] != least:
+                rotation = doubled[i : i + n]
+                if rotation < word:
+                    word, best = rotation, i
+            else:  # inside a run: jump to its end
+                i = n - len(keyed[i:].lstrip(least))
+            i = keyed.find(least, i + 1)
     else:
         period = _power_period(letters)
         if period < n:
             return _canonical_rotation(letters[:period]) * (n // period)
-        best = _least_start(keyed, next(key for key in "0123" if key in keyed))
+        best = _least_start(keyed, least)
     return letters[best:] + letters[:best]
 
 
@@ -240,15 +246,16 @@ def _least_start(keyed: str, least: str) -> int:
 
     It starts at a longest run of ``least``, since a longer run beats a
     shorter one where the shorter one ends.  Up to ``_SHORT_ROTATION``
-    such starts are compared as slices.  With more, the string is cut
-    before each longest run L into pieces L + x, and x holds no run of
-    L's length and ends with another symbol.  Rotations from the cuts
-    then compare as their sequences of x in ``str`` order: where x is a
-    proper prefix of y, the L that follows x meets a shorter run and
-    another symbol in y.  So the distinct x are ranked, and the least
-    rotation of the rank string, primitive and at most half as long,
-    gives the start.  Ranks are code points, so a string with more than
-    0x110000 distinct pieces keeps the slices.
+    such starts are scanned for the least slice, as short words are.
+    With more, the string is cut before each longest run L into pieces
+    L + x, and x holds no run of L's length and ends with another
+    symbol.  Rotations from the cuts then compare as their sequences of
+    x in ``str`` order: where x is a proper prefix of y, the L that
+    follows x meets a shorter run and another symbol in y.  So the
+    distinct x are ranked, and the least rotation of the rank string,
+    primitive and at most half as long, gives the start.  Ranks are
+    code points, so a string with more than 0x110000 distinct pieces
+    keeps the slices.
     """
     n = len(keyed)
     run = re.compile(re.escape(least) + "+")
@@ -266,16 +273,14 @@ def _least_start(keyed: str, least: str) -> int:
             k = _least_start("".join(map(rank.__getitem__, pieces)), chr(0))
             best = first + k * len(longest) + sum(map(len, pieces[:k]))
             return (best + shift) % n
-    starts = []
+    doubled = keyed + keyed
+    word, best = keyed, 0
     i = keyed.find(longest)
     while i >= 0:
-        starts.append(i)
+        rotation = doubled[i : i + n]
+        if rotation < word:
+            word, best = rotation, i
         i = keyed.find(longest, i + len(longest))
-    if len(starts) == 1:
-        best = starts[0]
-    else:
-        doubled = keyed + keyed
-        best = min(starts, key=lambda i: doubled[i : i + n])
     return (best + shift) % n
 
 

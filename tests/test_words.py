@@ -1,5 +1,5 @@
 import random
-from itertools import groupby
+from itertools import groupby, product
 from math import gcd
 from unittest import mock
 
@@ -29,6 +29,7 @@ from genus2pairs.words import (
     _invert,
     _join,
     _least_start,
+    _SHORT_ROTATION,
     _power_period,
     _reduce,
     parse_letters,
@@ -164,6 +165,24 @@ many_longest_runs = st.builds(
     st.lists(st.integers(0, 3), min_size=65, max_size=600),
     shifts,
 )
+# Short words of runs of their least letter, each run followed by up to
+# three larger letters and the whole turned by a shift, so that the
+# short-word scan meets runs that start, end and wrap around the string.
+short_least_runs = st.builds(
+    rotated,
+    st.sampled_from("AaB").flatmap(
+        lambda least: st.lists(
+            st.builds(
+                lambda k, rest: least * k + rest,
+                st.integers(1, 9),
+                st.text(alphabet="AaBb"["AaBb".index(least) + 1 :], max_size=3),
+            ),
+            min_size=1,
+            max_size=16,
+        )
+    ).map(lambda pieces: "".join(pieces)[:_SHORT_ROTATION]),
+    shifts,
+)
 long_rotation_inputs = st.one_of(
     proper_powers, shuffled_multiples, near_periodic, one_extra_letter,
     fig3a_words, wrapping_runs, many_longest_runs,
@@ -195,6 +214,27 @@ class TestParsing:
     def test_caret_budget_checked_before_expansion(self, text):
         with pytest.raises(BudgetExceededError):
             parse_letters(text)
+
+    @pytest.mark.parametrize(
+        "text, letters", [("A B", "AB"), (" A B ", "AB"), ("AB^2", "ABB"), ("A\tb", "Ab")]
+    )
+    def test_non_letters_inside_take_the_token_path(self, text, letters):
+        assert parse_letters(text) == letters
+
+    def test_unknown_character_message(self):
+        with pytest.raises(InvalidWordError) as info:
+            parse_letters("AxB")
+        assert str(info.value) == (
+            "cannot parse word 'AxB' at position 1: expected a letter from 'AaBb'"
+        )
+
+    @given(
+        st.text(alphabet=" \t\n\r\x0b\x0c"),
+        st.text(alphabet="AaBb"),
+        st.text(alphabet=" \t\n\r\x0b\x0c"),
+    )
+    def test_letter_strings_come_back_stripped(self, left, s, right):
+        assert parse_letters(left + s + right) == s
 
     def test_caret_exponent_edge_forms(self):
         assert parse_letters("A^0 B^-0 a^-003") == "AAA"
@@ -231,6 +271,16 @@ class TestKernelFastPaths:
     def test_long_canonical_rotation_is_least_rotation(self, s):
         assert _canonical_rotation(s) == least_rotation(s)
 
+    def test_every_short_string_rotates_to_its_least_rotation(self):
+        for n in range(8):
+            for letters in product("AaBb", repeat=n):
+                s = "".join(letters)
+                assert _canonical_rotation(s) == least_rotation(s)
+
+    @given(short_least_runs)
+    def test_short_rotation_jumps_runs_of_the_least_letter(self, s):
+        assert _canonical_rotation(s) == least_rotation(s)
+
     @given(st.one_of(long_rotation_inputs, rotation_inputs))
     def test_power_period_is_least_period(self, s):
         assert _power_period(s) == least_period(s)
@@ -248,6 +298,14 @@ class TestKernelFastPaths:
             # More longest-run starts than _SHORT_ROTATION: pieces are ranked.
             "AB" * 2000 + "Ab",
             ("AB" * 40 + "AAB") * 3 + "AB",
+            # Short words (at most _SHORT_ROTATION letters) with long runs,
+            # many tied starts, one-letter powers and a wrapping run.
+            "A" * 63 + "B",
+            ("A" * 7 + "B") * 8,
+            "AB" * 31 + "Ab",
+            "A" + "B" * 63,
+            "b" * 64,
+            "A" * 20 + "bBab" * 6 + "A" * 20,
         ):
             for shift in (0, 1, len(word) // 2):
                 assert _canonical_rotation(rotated(word, shift)) == least_rotation(word)
