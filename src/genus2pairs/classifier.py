@@ -27,11 +27,7 @@ import enum
 from math import gcd
 
 from ._record import _Record
-from .errors import (
-    BetaNotProperPowerError,
-    EmptyWordError,
-    InvalidParamsError,
-)
+from .errors import BetaNotProperPowerError, EmptyWordError, InvalidParamsError, check_int
 from .rr_diagram import CanonicalParams
 from .words import CyclicWord, Word, check_budget
 from .words import _cyclic_core, _invert, _power_period, _reduced_letters
@@ -78,7 +74,7 @@ def separating_word(n: int) -> CyclicWord:
     >>> str(separating_word(0))
     '1'
     """
-    check_budget(2 * abs(n) + 2, "letters in the separating word")
+    check_budget(2 * abs(check_int(n, "twist n")) + 2, "letters in the separating word")
     m, sign = abs(n), n < 0
     return CyclicWord._raw("A" * m + "Bb"[sign] + "a" * m + "bB"[sign] if n else "")
 
@@ -95,8 +91,9 @@ def longitude_pair(p: int, q: int) -> tuple[int, int]:
     >>> longitude_pair(5, 2)
     (2, 1)
     """
-    if p == 0:
+    if check_int(p, "p") == 0:
         raise InvalidParamsError("p = 0 gives an inessential handle pattern")
+    check_int(q, "q")
     if gcd(p, q) != 1:
         raise InvalidParamsError(f"gcd({p}, {q}) != 1")
     # p*s - r*q = 1 holds exactly when r*q = -1 (mod |p|).

@@ -146,14 +146,6 @@ def _json_text(data: dict) -> str:
     return json.dumps(data, indent=2)
 
 
-def _load_graph(path: str):
-    data = _read_json(path)
-    try:
-        return api.HGraph.from_json(data, check_parity=False)
-    except ValueError as exc:
-        raise InvalidParamsError(str(exc)) from exc
-
-
 _VARIANT = ("fig1a", "fig2a", "fig3a")
 _SHAPE = tuple((f"--{name}", int) for name in ("p", "q", "a", "b", "eps"))
 
@@ -266,7 +258,7 @@ def _curve_report(g, curve: str) -> str:
 @_command("graph check", ("graph_json", str))
 def graph_check(graph_json: str) -> None:
     """Parity, connectivity, cut-vertex, shape and minimality report."""
-    g = _load_graph(graph_json)
+    g = api.HGraph.from_json(_read_json(graph_json), check_parity=False)
     problems = g.parity_violations()
     print("parity: " + ("ok" if not problems else "; ".join(problems)))
     print(_curve_report(g, "alpha"))
@@ -286,7 +278,7 @@ def graph_check(graph_json: str) -> None:
 
 @_command("graph dot", ("graph_json", str))
 def graph_dot(graph_json: str) -> None:
-    print(_load_graph(graph_json).dot(), end="")
+    print(api.HGraph.from_json(_read_json(graph_json), check_parity=False).dot(), end="")
 
 
 @_command("oracle primitives", ("--max-len", int, True))

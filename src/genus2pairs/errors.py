@@ -30,8 +30,9 @@ class NotInvertibleError(DomainError):
     """An endomorphism given by a non-basis image pair."""
 
 
-class InvalidParamsError(DomainError):
-    """Parameters outside the domain of a constructor or classifier."""
+class InvalidParamsError(DomainError, ValueError):
+    """Parameters outside the domain of a constructor or classifier; a
+    ValueError too, so callers may catch it as one."""
 
 
 class UnknownCurveError(DomainError):
@@ -52,3 +53,14 @@ class BetaNotProperPowerError(DomainError):
 
 class BudgetExceededError(DomainError):
     """A brute-force computation was asked to exceed its budget."""
+
+
+def check_int(value, what: str, *args) -> int:
+    """Return ``value`` if it is an exact integer, else raise
+    InvalidParamsError naming ``what.format(*args)``, a text built only
+    then; floats, strings and booleans are refused.  Every integer
+    parameter, label or multiplicity of a diagram, a graph, a classifier
+    or a referee, from the Python API or from JSON, passes here."""
+    if type(value) is not int:
+        raise InvalidParamsError(f"{what.format(*args)} must be an integer, got {value!r}")
+    return value

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from itertools import combinations_with_replacement
 
-from .errors import InvalidParamsError, ParityViolationError
+from .errors import InvalidParamsError, ParityViolationError, check_int
 
 VERTICES = ("A+", "A-", "B+", "B-")
 CURVES = ("alpha", "beta")
@@ -34,13 +34,13 @@ _SLOT_OF_KEY = {
 
 
 def _slot(key) -> tuple[str, str]:
-    """The slot of an edge key; ValueError for any key outside the table."""
+    """The slot of an edge key; InvalidParamsError for any key outside the table."""
     slot = _SLOT_OF_KEY.get(key)
     if slot is None:
         if isinstance(key, str):
-            raise ValueError(f"cannot parse edge key {key!r}")
+            raise InvalidParamsError(f"cannot parse edge key {key!r}")
         v, w = key
-        raise ValueError(f"unknown vertex in edge ({v!r}, {w!r})")
+        raise InvalidParamsError(f"unknown vertex in edge ({v!r}, {w!r})")
     return slot
 
 
@@ -54,7 +54,11 @@ def _degrees(edges: dict[tuple[str, str], int]) -> dict[str, int]:
 
 
 class HGraph:
-    """Per-curve edge multiplicities on the four disk-copy vertices."""
+    """Per-curve edge multiplicities on the four disk-copy vertices.
+
+    A curve that is not a dict, a multiplicity that is not an exact
+    integer >= 0, or an unknown edge key, vertex or curve name raises
+    InvalidParamsError, which is a ValueError too."""
 
     def __init__(self, alpha=None, beta=None, *, check_parity: bool = True):
         self._edges: dict[str, dict[tuple[str, str], int]] = {}
@@ -62,15 +66,11 @@ class HGraph:
             if data is None:
                 continue
             if not isinstance(data, dict):
-                raise ValueError(f"curve {name} must map edges to multiplicities")
+                raise InvalidParamsError(f"curve {name} must map edges to multiplicities")
             edges: dict[tuple[str, str], int] = {}
             for key, mult in data.items():
-                if type(mult) is not int:  # bool is an int subclass
-                    raise ValueError(
-                        f"multiplicity for {key!r} must be an integer, got {mult!r}"
-                    )
-                if mult < 0:
-                    raise ValueError(f"negative multiplicity for {key!r}")
+                if check_int(mult, "multiplicity for {!r}", key) < 0:
+                    raise InvalidParamsError(f"negative multiplicity for {key!r}")
                 if mult:
                     # One inline table read per edge; _slot raises for the rest.
                     slot = _SLOT_OF_KEY.get(key) or _slot(key)
@@ -143,7 +143,8 @@ class HGraph:
     def from_json(cls, data: dict, *, check_parity: bool = True) -> "HGraph":
         unknown = sorted(set(data) - set(CURVES))
         if unknown:
-            raise ValueError(f"unknown curves {unknown!r}; expected alpha and/or beta")
+            raise InvalidParamsError(
+                f"unknown curves {unknown!r}; expected alpha and/or beta")
         return cls(
             alpha=data.get("alpha"),
             beta=data.get("beta"),

@@ -13,8 +13,8 @@ tests play the commutator test against the descent.
 from __future__ import annotations
 
 from .automorphisms import _descend, nielsen_generators
-from .errors import BudgetExceededError, InvalidParamsError
-from .words import CyclicWord, Word, check_int
+from .errors import BudgetExceededError, InvalidParamsError, check_int
+from .words import CyclicWord, Word
 
 _SLACK = 4
 _MAX_LEN_CAP = 14
@@ -72,11 +72,12 @@ def brute_is_basis(u: Word, v: Word, budget: int = 32) -> bool:
     determinant is not +-1 is rejected up front; that is a necessary
     condition for a basis and keeps bulk sweeps fast.
 
-    Raises BudgetExceededError when the pair is longer than ``budget``;
-    the reduction itself never grows the pair.
+    Raises InvalidParamsError when ``budget`` is not an int, and
+    BudgetExceededError when the pair is longer than ``budget``; the
+    reduction itself never grows the pair.
     """
     total = len(u) + len(v)
-    if total > budget:
+    if total > check_int(budget, "budget"):
         raise BudgetExceededError(
             f"pair of total length {total} exceeds budget {budget}"
         )

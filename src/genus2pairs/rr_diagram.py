@@ -29,12 +29,8 @@ from itertools import chain
 from typing import NamedTuple, Union
 
 from ._record import _Record
-from .errors import (
-    InvalidParamsError,
-    UnknownCurveError,
-    UnlabeledBandError,
-)
-from .words import CyclicWord, _christoffel, check_budget, check_int
+from .errors import InvalidParamsError, UnknownCurveError, UnlabeledBandError, check_int
+from .words import CyclicWord, _christoffel, check_budget
 
 HANDLES = ("A", "B")
 ENDS = ("+", "-")
@@ -213,12 +209,17 @@ def _slots(diagram: RRDiagram) -> dict[tuple, Band | Arc]:
 
     A step or an endpoint without its last field is the key of what it
     names, so a negative or out-of-range index, or an unknown handle,
-    names nothing.  A band multiplicity or label, or an arc multiplicity
-    or endpoint index, that is not an exact integer raises
-    InvalidParamsError, as ``diagram_from_json`` does, in table order."""
+    names nothing.  InvalidParamsError is raised, in table order, for a
+    ``handle_a`` not named A or a ``handle_b`` not named B, and, as
+    ``diagram_from_json`` does, for a band multiplicity or label, or an
+    arc multiplicity or endpoint index, that is not an exact integer."""
     slots: dict[tuple, Band | Arc] = {}
     for name in HANDLES:
-        for i, band in enumerate(diagram.handle(name).bands):
+        handle = diagram.handle(name)
+        if handle.handle != name:
+            raise InvalidParamsError(
+                f"handle_{name.lower()} is named {handle.handle!r}, not {name!r}")
+        for i, band in enumerate(handle.bands):
             check_int(band.multiplicity, "band {}.{} multiplicity", name, i)
             for label, what in ((band.disk, "disk"), (band.longitude, "longitude")):
                 if label is not None:

@@ -23,9 +23,7 @@ from itertools import groupby
 from math import gcd
 from typing import Iterable, Iterator, NamedTuple
 
-from .errors import (
-    BudgetExceededError, EmptyWordError, InvalidParamsError, InvalidWordError,
-)
+from .errors import BudgetExceededError, EmptyWordError, InvalidWordError
 
 GENERATORS = "AB"
 LETTERS = "AaBb"
@@ -56,17 +54,6 @@ def check_budget(size: int, what: str) -> None:
     """
     if size > _MAX_EXPANDED_LETTERS:
         raise BudgetExceededError(f"more than {_MAX_EXPANDED_LETTERS:,} {what}")
-
-
-def check_int(value, what: str, *args) -> int:
-    """Return ``value`` if it is an exact integer, else raise
-    InvalidParamsError naming ``what.format(*args)``, a text built only
-    then; floats, strings and booleans are refused.  Every integer
-    parameter or label of a diagram, a diagram family or a referee, from
-    the Python API or from JSON, passes here."""
-    if type(value) is not int:
-        raise InvalidParamsError(f"{what.format(*args)} must be an integer, got {value!r}")
-    return value
 
 
 def parse_letters(text: str) -> str:
@@ -499,6 +486,9 @@ def cyclic_equal(u: CyclicWord, v: CyclicWord, up_to_inversion: bool = False) ->
 
 def substitute(word: Word, image_a: Word, image_b: Word) -> Word:
     """Image of ``word`` under A -> image_a, B -> image_b."""
-    a, b = image_a.letters, image_b.letters
+    a, b, letters = image_a.letters, image_b.letters, word.letters
+    count_a = letters.count("A") + letters.count("a")
+    size = count_a * len(a) + (len(letters) - count_a) * len(b)
+    check_budget(size, "letters in the image of a word")
     table = {ord("A"): a, ord("a"): _invert(a), ord("B"): b, ord("b"): _invert(b)}
-    return Word._raw(_reduce(word.letters.translate(table)))
+    return Word._raw(_reduce(letters.translate(table)))

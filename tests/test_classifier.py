@@ -64,6 +64,17 @@ class TestLongitudePair:
             longitude_pair(6, 4)
 
 
+@pytest.mark.parametrize("bad", [True, 2.0, "2"], ids=repr)
+@pytest.mark.parametrize("call", [
+    lambda bad: longitude_pair(bad, 1),
+    lambda bad: longitude_pair(3, bad),
+    separating_word,
+], ids=["p", "q", "n"])
+def test_integer_parameters_refuse_non_integers(call, bad):
+    with pytest.raises(InvalidParamsError, match="must be an integer"):
+        call(bad)
+
+
 class TestSeparatingWord:
     def test_commutator(self):
         assert str(separating_word(1)) == "ABab"

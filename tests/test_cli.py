@@ -377,6 +377,21 @@ class TestExitProtocol:
         assert (code, out) == (65, "")
         assert err.startswith("InvalidParams:")
 
+    @pytest.mark.parametrize("graph, message", [
+        ({"alpha": {"A+A-": 1.5}}, "multiplicity for 'A+A-' must be an integer, got 1.5"),
+        ({"A+A-": -1}, "unknown curves ['A+A-']; expected alpha and/or beta"),
+        ({"A+C-": 1}, "unknown curves ['A+C-']; expected alpha and/or beta"),
+        ({"alpha": [1]}, "curve alpha must map edges to multiplicities"),
+        ({"gamma": {}}, "unknown curves ['gamma']; expected alpha and/or beta"),
+        ({"alpha": {"A+A-": -1}}, "negative multiplicity for 'A+A-'"),
+        ({"alpha": {"A+C-": 1}}, "cannot parse edge key 'A+C-'"),
+    ])
+    @pytest.mark.parametrize("command", ["check", "dot"])
+    def test_graph_refusal_texts(self, command, graph, message):
+        """``HGraph``'s own InvalidParamsError reaches stderr word for word."""
+        code, out, err = invoke("graph", command, "-", stdin=json.dumps(graph))
+        assert (code, out, err) == (65, "", f"InvalidParams: {message}\n")
+
     @pytest.mark.parametrize(
         "path, value",
         [

@@ -203,6 +203,27 @@ class TestConstruction:
             fig5c_graph().relabeled(mapping)
 
 
+@pytest.mark.parametrize("refuse", [
+    lambda: HGraph(alpha={"A+A-": 1.5}),
+    lambda: HGraph(alpha={"A+A-": True}),
+    lambda: HGraph(alpha={"A+A-": -1}),
+    lambda: HGraph(alpha={"A+C-": 1}),
+    lambda: HGraph(alpha={("A+", "C-"): 1}),
+    lambda: HGraph(alpha=[1]),
+    lambda: HGraph.from_json({"gamma": {}}),
+    lambda: fig5c_graph().multiplicity("alpha", "A+", "C-"),
+    lambda: fig5c_graph().relabeled({}),
+], ids=["float", "bool", "negative", "key", "vertex", "curve-list", "curve-name",
+        "multiplicity-vertex", "relabeling"])
+def test_refusals_are_invalid_params_and_value_errors(refuse):
+    try:
+        refuse()
+    except ValueError as exc:
+        assert type(exc) is InvalidParamsError
+    else:
+        pytest.fail("no refusal")
+
+
 def single_edge_slot(key):
     """The one slot an edge key of multiplicity 2 lands in."""
     (slot,) = HGraph(alpha={key: 2}, check_parity=False).edges("alpha")

@@ -75,6 +75,8 @@ class TestEnumeratePrimitives:
         with pytest.raises(InvalidParamsError, match="must be an integer"):
             enumerate_primitives(bad)
         assert all(type(key) is int for key in oracle._cache)
+        with pytest.raises(InvalidParamsError, match="budget must be an integer"):
+            brute_is_basis(Word("A"), Word("B"), bad)
 
     def test_cached_result_is_stable(self):
         assert enumerate_primitives(5) is enumerate_primitives(5)

@@ -833,6 +833,22 @@ class TestSlotTable:
                 read(d)
             assert str(info.value) == message
 
+    @pytest.mark.parametrize("names, message", [
+        (("Q", "B"), "handle_a is named 'Q', not 'A'"),
+        (("B", "A"), "handle_a is named 'B', not 'A'"),
+        (("A", "A"), "handle_b is named 'A', not 'B'"),
+    ])
+    def test_handle_names(self, names, message):
+        """Each handle label carries its own slot's name, or the diagram
+        is refused before any band is reported under the wrong name."""
+        d = build_canonical(CanonicalParams.fig2a(3, 1))
+        d.handle_a = HandleLabel(names[0], d.handle_a.bands)
+        d.handle_b = HandleLabel(names[1], d.handle_b.bands)
+        for read in (validate, lambda d: trace_word(d, "alpha")):
+            with pytest.raises(InvalidParamsError) as info:
+                read(d)
+            assert str(info.value) == message
+
     def test_non_integer_index_after_a_missing_arc(self):
         # trace_word raises for the first bad step in walk order; validate
         # raises for the non-integer wherever it is.

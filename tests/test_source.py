@@ -20,12 +20,10 @@ def test_no_assert_statements(path):
 
 
 def test_one_exact_integer_check():
-    """``words.check_int`` is the one exact-integer check; ``HGraph`` keeps
-    its own, which raises the ValueError the CLI maps."""
+    """``errors.check_int`` is the one exact-integer check; ``HGraph`` calls
+    it too, and its InvalidParamsError is a ValueError."""
     counts = {path.name: path.read_text().count("is not int") for path in MODULES}
-    assert {name: n for name, n in counts.items() if n} == {
-        "words.py": 1, "heegaard.py": 1,
-    }
+    assert {name: n for name, n in counts.items() if n} == {"errors.py": 1}
 
 
 def test_oracle_shares_nothing_with_primitivity():
@@ -104,6 +102,14 @@ def test_cli_imports_no_command_modules():
     heavy = {"click"} | {f"genus2pairs.{m}" for m in (
         "rr_diagram", "classifier", "heegaard", "oracle", "automorphisms")}
     assert not loaded & heavy
+
+
+def test_graph_layer_loads_no_word_kernel():
+    """``heegaard`` takes its integer check from ``errors``; loading the word
+    kernel would add to every ``graph`` call's start-up."""
+    loaded = _loaded_after_import("genus2pairs.heegaard")
+    assert "genus2pairs.heegaard" in loaded
+    assert "genus2pairs.words" not in loaded
 
 
 def test_diagrams_import_no_decisions():

@@ -394,9 +394,10 @@ class TestBudget:
             (lambda: alpha_word_fig3a(1, 1, 2, 1), 7),
             (lambda: build_canonical(CanonicalParams.fig3a(1, 1, 2, 1)), 8),
             (lambda: trace_word(_FIG2A_3_1, "alpha"), 4),
+            (lambda: substitute(Word("AbA"), Word("AB"), Word("BAB")), 7),
         ],
         ids=["parse_letters", "pow", "separating_word", "alpha_word_fig3a",
-             "build_canonical", "trace_word"],
+             "build_canonical", "trace_word", "substitute"],
     )
     def test_boundary(self, monkeypatch, write, size):
         monkeypatch.setattr("genus2pairs.words._MAX_EXPANDED_LETTERS", size)
