@@ -153,11 +153,9 @@ class Automorphism(_Record):
 
     __slots__ = ("image_a", "image_b")
 
-    def __init__(self, image_a: Word, image_b: Word) -> None:
-        if isinstance(image_a, str):
-            image_a = Word(image_a)
-        if isinstance(image_b, str):
-            image_b = Word(image_b)
+    def __init__(self, image_a: Word | CyclicWord | str,
+                 image_b: Word | CyclicWord | str) -> None:
+        image_a, image_b = Word(image_a), Word(image_b)
         from .primitivity import is_basis_pair
 
         if not is_basis_pair(image_a, image_b):
@@ -169,14 +167,14 @@ class Automorphism(_Record):
 
     @classmethod
     def identity(cls) -> "Automorphism":
-        return cls(Word("A"), Word("B"))
+        return cls("A", "B")
 
-    def __call__(self, word: Word) -> Word:
+    def __call__(self, word: Word | CyclicWord | str) -> Word:
         return substitute(word, self.image_a, self.image_b)
 
-    def image_of_class(self, word: CyclicWord) -> CyclicWord:
-        """Image of a conjugacy class."""
-        return CyclicWord(self(word.to_word()))
+    def image_of_class(self, word: Word | CyclicWord | str) -> CyclicWord:
+        """Image of the conjugacy class of ``word``."""
+        return CyclicWord(self(word))
 
     def __mul__(self, other: "Automorphism") -> "Automorphism":
         return compose(self, other)
@@ -206,7 +204,7 @@ class Automorphism(_Record):
 
     @classmethod
     def from_json(cls, data: dict) -> "Automorphism":
-        return cls(Word(data["A"]), Word(data["B"]))
+        return cls(data["A"], data["B"])
 
     def __str__(self) -> str:
         return f"A -> {self.image_a}, B -> {self.image_b}"
@@ -224,8 +222,8 @@ def nielsen_generators() -> tuple[Automorphism, ...]:
     A -> A*B comes paired with its inverse A -> A*B^-1.
     """
     return (
-        Automorphism(Word("a"), Word("B")),
-        Automorphism(Word("B"), Word("A")),
-        Automorphism(Word("AB"), Word("B")),
-        Automorphism(Word("Ab"), Word("B")),
+        Automorphism("a", "B"),
+        Automorphism("B", "A"),
+        Automorphism("AB", "B"),
+        Automorphism("Ab", "B"),
     )

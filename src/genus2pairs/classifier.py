@@ -29,8 +29,7 @@ from math import gcd
 from ._record import _Record
 from .errors import BetaNotProperPowerError, EmptyWordError, InvalidParamsError, check_int
 from .rr_diagram import CanonicalParams
-from .words import CyclicWord, Word, check_budget
-from .words import _cyclic_core, _invert, _power_period, _reduced_letters
+from .words import CyclicWord, Word, _core_letters, _invert, _power_period, check_budget
 
 
 class ProductStructure(enum.Enum):
@@ -161,7 +160,7 @@ def classify_power_pair(
     caller's responsibility.
     """
     # Cyclic cores in the rotation they come in; a CyclicWord is its own.
-    alpha, beta = (_cyclic_core(_reduced_letters(w)) for w in (alpha_word, beta_word))
+    alpha, beta = _core_letters(alpha_word), _core_letters(beta_word)
     if not alpha:
         raise EmptyWordError("alpha must be nontrivial")
     if _power_period(beta) == len(beta):

@@ -193,7 +193,7 @@ def prim_check(text: str) -> int:
 @_command("prim basis", ("first", str), ("second", str))
 def prim_basis(first: str, second: str) -> int:
     """basis (exit 0) or not-basis (exit 1)."""
-    if api.is_basis_pair(api.Word(first), api.Word(second)):
+    if api.is_basis_pair(first, second):
         print("basis")
         return 0
     print("not-basis")

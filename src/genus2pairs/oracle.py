@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from .automorphisms import _descend, nielsen_generators
 from .errors import BudgetExceededError, InvalidParamsError, check_int
-from .words import CyclicWord, Word
+from .words import CyclicWord, Word, _abelianization, _reduced_letters
 
 _SLACK = 4
 _MAX_LEN_CAP = 14
@@ -60,7 +60,8 @@ def enumerate_primitives(max_len: int) -> frozenset[CyclicWord]:
     return _cache[max_len]
 
 
-def brute_is_basis(u: Word, v: Word, budget: int = 32) -> bool:
+def brute_is_basis(u: Word | CyclicWord | str, v: Word | CyclicWord | str,
+                   budget: int = 32) -> bool:
     """Basis test by Nielsen length reduction, no commutator involved.
 
     Replaces one word by its product with the other, taking the first
@@ -76,13 +77,14 @@ def brute_is_basis(u: Word, v: Word, budget: int = 32) -> bool:
     BudgetExceededError when the pair is longer than ``budget``; the
     reduction itself never grows the pair.
     """
-    total = len(u) + len(v)
+    su, sv = _reduced_letters(u), _reduced_letters(v)
+    total = len(su) + len(sv)
     if total > check_int(budget, "budget"):
         raise BudgetExceededError(
             f"pair of total length {total} exceeds budget {budget}"
         )
-    xu, yu = u.abelianization()
-    xv, yv = v.abelianization()
+    xu, yu = _abelianization(su)
+    xv, yv = _abelianization(sv)
     if abs(xu * yv - xv * yu) != 1:
         return False
-    return _descend(u.letters, v.letters) is not None
+    return _descend(su, sv) is not None

@@ -20,17 +20,8 @@ import math
 
 from ._record import _Record
 from .errors import EmptyWordError, SingleGeneratorError
-from .words import (
-    CyclicWord,
-    Word,
-    _abelianization,
-    _canonical_rotation,
-    _christoffel,
-    _cyclic_core,
-    _invert,
-    _join,
-    _power_period,
-)
+from .words import CyclicWord, Word, _abelianization, _canonical_rotation, _christoffel
+from .words import _core_letters, _cyclic_core, _invert, _join, _power_period, _reduced_letters
 
 
 class PrimitiveForm(_Record):
@@ -58,19 +49,19 @@ class PrimitiveForm(_Record):
         return out
 
 
-def primitive_form(word: CyclicWord) -> PrimitiveForm | None:
-    """Exponent shape of a cyclic word using both generators, if any.
+def primitive_form(word: Word | CyclicWord | str) -> PrimitiveForm | None:
+    """Exponent shape of a word's cyclic core using both generators, if any.
 
     Every primitive has one; some non-primitives (e.g. (A^2*B)^2) do
     too, so the shape alone does not decide primitivity.
     """
-    if not word:
+    letters = _core_letters(word)
+    if not letters:
         raise EmptyWordError("the identity has no exponent shape")
-    if len(word.generators()) < 2:
+    if len(set(letters.upper())) < 2:
         raise SingleGeneratorError(
-            f"{word} uses a single generator; the shape needs both"
+            f"{letters} uses a single generator; the shape needs both"
         )
-    letters = word.letters
     x, y = _abelianization(letters)
     if len(letters) != abs(x) + abs(y):
         return None  # both signs of one generator occur
@@ -115,17 +106,15 @@ def _is_primitive_core(letters: str) -> bool:
     )
 
 
-def is_primitive(word: Word | CyclicWord) -> bool:
+def is_primitive(word: Word | CyclicWord | str) -> bool:
     """True iff the word belongs to some free basis of F(A, B).
 
     Conjugation invariant; the input is cyclically reduced first.
     """
-    if isinstance(word, CyclicWord):
-        return _is_primitive_core(word.letters)
-    return _is_primitive_core(_cyclic_core(word.letters))
+    return _is_primitive_core(_core_letters(word))
 
 
-def is_basis_pair(u: Word, v: Word) -> bool:
+def is_basis_pair(u: Word | CyclicWord | str, v: Word | CyclicWord | str) -> bool:
     """True iff (u, v) is a free basis of F(A, B).
 
     Uses the commutator test: the pair is a basis exactly when the
@@ -133,7 +122,7 @@ def is_basis_pair(u: Word, v: Word) -> bool:
     inverse.  ``oracle.brute_is_basis`` cross-checks this by explicit
     length reduction.
     """
-    su, sv = u.letters, v.letters
+    su, sv = _reduced_letters(u), _reduced_letters(v)
     commutator = _cyclic_core(_join(_join(_join(su, sv), _invert(su)), _invert(sv)))
     # Each rotation of ABab, or of its inverse BAba, is a 4-letter slice.
     return len(commutator) == 4 and (
@@ -141,17 +130,14 @@ def is_basis_pair(u: Word, v: Word) -> bool:
     )
 
 
-def as_proper_power(word: Word | CyclicWord) -> tuple[CyclicWord, int] | None:
+def as_proper_power(word: Word | CyclicWord | str) -> tuple[CyclicWord, int] | None:
     """Decompose a word as root**k with k >= 2 maximal, if possible.
 
     Returns (root, k) with the root cut to its shortest period, or None
     when the word is not a proper power.  Conjugation invariant.
     """
-    cyclic = isinstance(word, CyclicWord)
-    letters = word.letters if cyclic else _cyclic_core(word.letters)
+    letters = _core_letters(word)
     period = _power_period(letters)
     if period == len(letters):
         return None
-    # The least rotation of root**k is the least rotation of root, k times.
-    root = letters[:period] if cyclic else _canonical_rotation(letters[:period])
-    return CyclicWord._raw(root), len(letters) // period
+    return CyclicWord._raw(_canonical_rotation(letters[:period])), len(letters) // period

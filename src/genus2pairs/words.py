@@ -21,9 +21,9 @@ from __future__ import annotations
 import re
 from itertools import groupby
 from math import gcd
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterator, NamedTuple
 
-from .errors import BudgetExceededError, EmptyWordError, InvalidWordError
+from .errors import BudgetExceededError, EmptyWordError, InvalidWordError, check_int
 
 GENERATORS = "AB"
 LETTERS = "AaBb"
@@ -64,7 +64,7 @@ def parse_letters(text: str) -> str:
     >>> parse_letters("1")
     ''
     """
-    stripped = text.strip()
+    stripped = str.strip(text)  # a TypeError, not AttributeError, for a non-str
     if not stripped.strip(LETTERS):
         return stripped
     if stripped == "1":
@@ -313,16 +313,32 @@ def _christoffel(x: int, y: int) -> str:
 
 def _reduced_letters(source) -> str:
     """Freely reduced letters of a string, letter iterable, Word or
-    CyclicWord; the last two are reduced already and are not scanned."""
+    CyclicWord; the last two are reduced already and are not scanned.
+    Every public word parameter is read here; other types raise TypeError."""
     if isinstance(source, str):
         return _reduce(parse_letters(source))
     if isinstance(source, _LetterString):
-        return source.letters
-    letters = "".join(source)
+        return source._letters
+    try:
+        if isinstance(source, (dict, set, frozenset)):  # unordered, so not a word
+            raise TypeError
+        letters = "".join(source)
+    except TypeError:
+        raise TypeError(
+            f"expected a word: a str, Word, CyclicWord or letters, got {type(source).__name__}"
+        ) from None
     bad = set(letters) - set(LETTERS)
     if bad:
         raise InvalidWordError(f"invalid letters {sorted(bad)!r}")
     return _reduce(letters)
+
+
+def _core_letters(source) -> str:
+    """Cyclic core of a word argument; a CyclicWord's own letters are its
+    core in least rotation, any other word's core keeps its rotation."""
+    if isinstance(source, CyclicWord):
+        return source._letters
+    return _cyclic_core(_reduced_letters(source))
 
 
 class Syllable(NamedTuple):
@@ -386,15 +402,15 @@ class Word(_LetterString):
     def __init__(self, source="") -> None:
         self._letters = _reduced_letters(source)
 
-    def __mul__(self, other: "Word") -> "Word":
-        return Word._raw(_join(self._letters, other.letters))
+    def __mul__(self, other: "Word | CyclicWord | str") -> "Word":
+        return Word._raw(_join(self._letters, _reduced_letters(other)))
 
     def __invert__(self) -> "Word":
         return Word._raw(_invert(self._letters))
 
     def __pow__(self, n: int) -> "Word":
-        check_budget(len(self._letters) * abs(n), "letters in a power of a word")
         s = self._letters
+        check_budget(len(s) * abs(check_int(n, "exponent")), "letters in a power of a word")
         if not n or not s:
             return Word._raw("")
         # s = c * core * c^-1, so s**n = c * core**n * c^-1, reduced as written.
@@ -419,10 +435,8 @@ class CyclicWord(_LetterString):
     __slots__ = ()
 
     def __init__(self, source="") -> None:
-        if isinstance(source, CyclicWord):
-            self._letters = source._letters
-        else:
-            self._letters = _canonical_rotation(_cyclic_core(_reduced_letters(source)))
+        core = _cyclic_core(_reduced_letters(source))
+        self._letters = core if isinstance(source, CyclicWord) else _canonical_rotation(core)
 
     def to_word(self) -> Word:
         """The canonical rotation as an ordinary word."""
@@ -457,7 +471,7 @@ class CyclicWord(_LetterString):
         ]
 
 
-def cyclic_reduce(word: Word) -> tuple[CyclicWord, Word]:
+def cyclic_reduce(word: Word | CyclicWord | str) -> tuple[CyclicWord, Word]:
     """Split ``word`` as conjugator * core * conjugator^-1.
 
     Returns the core as a CyclicWord together with the conjugator, so
@@ -466,7 +480,7 @@ def cyclic_reduce(word: Word) -> tuple[CyclicWord, Word]:
     >>> cyclic_reduce(Word("aBA"))
     (CyclicWord('B'), Word('a'))
     """
-    s = word.letters
+    s = _reduced_letters(word)
     core = _cyclic_core(s)
     strip = (len(s) - len(core)) // 2
     canonical = _canonical_rotation(core)
@@ -475,18 +489,19 @@ def cyclic_reduce(word: Word) -> tuple[CyclicWord, Word]:
     return CyclicWord._raw(canonical), Word._raw(conjugator)
 
 
-def cyclic_equal(u: CyclicWord, v: CyclicWord, up_to_inversion: bool = False) -> bool:
-    """Rotation-invariant equality, optionally also inversion-invariant."""
-    if u == v:
-        return True
-    # Inversion keeps the length, so classes of other lengths never match,
-    # and u is ~v when u's letters inverted are a rotation of v's.
-    return up_to_inversion and len(u) == len(v) and _invert(u.letters) in v.letters * 2
+def cyclic_equal(u: Word | CyclicWord | str, v: Word | CyclicWord | str,
+                 up_to_inversion: bool = False) -> bool:
+    """Equality of conjugacy classes, optionally up to inversion: the
+    cyclic cores have one length and one is a rotation of the other, or
+    of the other's inverse."""
+    cu, cv = _core_letters(u), _core_letters(v)
+    return len(cu) == len(cv) and (cu in cv * 2 or up_to_inversion and _invert(cu) in cv * 2)
 
 
-def substitute(word: Word, image_a: Word, image_b: Word) -> Word:
+def substitute(word: Word | CyclicWord | str, image_a: Word | CyclicWord | str,
+               image_b: Word | CyclicWord | str) -> Word:
     """Image of ``word`` under A -> image_a, B -> image_b."""
-    a, b, letters = image_a.letters, image_b.letters, word.letters
+    letters, a, b = map(_reduced_letters, (word, image_a, image_b))
     count_a = letters.count("A") + letters.count("a")
     size = count_a * len(a) + (len(letters) - count_a) * len(b)
     check_budget(size, "letters in the image of a word")

@@ -101,6 +101,19 @@ class TestConstruction:
     def test_str(self):
         assert str(Automorphism("AB", "B")) == "A -> AB, B -> B"
 
+    @pytest.mark.parametrize("image_a", ["A", Word("A"), CyclicWord("A"), ["A"]], ids=repr)
+    def test_images_are_stored_as_words(self, image_a):
+        f = Automorphism(image_a, CyclicWord("B"))
+        assert f == Automorphism("A", "B")
+        assert type(f.image_a) is Word and type(f.image_b) is Word
+
+    def test_image_of_class_reads_any_word(self):
+        f = Automorphism("AB", "B")
+        expected = CyclicWord("ABB")
+        assert f.image_of_class(CyclicWord("AB")) == expected
+        assert f.image_of_class("bABB") == expected
+        assert f.image_of_class(Word("AB")) == expected
+
 
 class TestApply:
     def test_length_reducing_move(self):

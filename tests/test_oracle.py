@@ -110,6 +110,11 @@ class TestBruteIsBasis:
         with pytest.raises(BudgetExceededError):
             brute_is_basis(Word("AB") * Word("AB"), Word("B"), budget=3)
 
+    @pytest.mark.parametrize("kind", [str, Word, CyclicWord], ids=lambda k: k.__name__)
+    def test_reads_any_word(self, kind):
+        assert brute_is_basis(kind("AB"), kind("B"))
+        assert not brute_is_basis(kind("ABab"), kind("B"))
+
     def test_empty_entries_never_basis(self):
         assert not brute_is_basis(Word(), Word("B"))
         assert not brute_is_basis(Word(), Word())

@@ -293,6 +293,37 @@ class TestTrichotomy:
         assert (False, False) in kinds
 
 
+def _outcome(decide, *args):
+    """The value of ``decide(*args)``, or its exception type and text."""
+    try:
+        return decide(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+class TestWordKinds:
+    """A str, a Word and a CyclicWord of one class get one verdict."""
+
+    REDUCED = [w for n in range(7) for w in map("".join, itertools.product("AaBb", repeat=n))
+               if _reduce(w) == w]
+
+    @pytest.mark.parametrize("decide", [is_primitive, as_proper_power, primitive_form],
+                             ids=lambda f: f.__name__)
+    def test_one_verdict_per_class(self, decide):
+        for w in self.REDUCED:
+            verdict = _outcome(decide, CyclicWord(w))
+            assert _outcome(decide, w) == verdict, w
+            assert _outcome(decide, Word(w)) == verdict, w
+
+    def test_basis_pairs(self):
+        short = [w for w in self.REDUCED if len(w) <= 3]
+        for u in short:
+            for v in short:
+                verdict = is_basis_pair(Word(u), Word(v))
+                assert is_basis_pair(u, v) == verdict, (u, v)
+                assert is_basis_pair(list(u), Word(v)) == verdict, (u, v)
+
+
 def shortening_loop_is_primitive(letters):
     """Reference: match the two-exponent shape, shorten, repeat.
 

@@ -26,6 +26,15 @@ def test_one_exact_integer_check():
     assert {name: n for name, n in counts.items() if n} == {"errors.py": 1}
 
 
+def test_one_word_coercion():
+    """Word arguments are read by ``words._reduced_letters`` or
+    ``words._core_letters``; the decision, automorphism, classifier and
+    referee modules dispatch on no argument type of their own."""
+    names = ("primitivity.py", "automorphisms.py", "classifier.py", "oracle.py")
+    counts = {path.name: path.read_text().count("isinstance(") for path in MODULES}
+    assert {name: counts[name] for name in names} == dict.fromkeys(names, 0)
+
+
 def test_oracle_shares_nothing_with_primitivity():
     """The referees in ``oracle`` must not reuse the decision procedures."""
     path = Path(genus2pairs.__file__).parent / "oracle.py"

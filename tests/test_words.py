@@ -7,7 +7,12 @@ import pytest
 from hypothesis import assume, example, given, strategies as st
 
 from genus2pairs.classifier import separating_word
-from genus2pairs.errors import BudgetExceededError, EmptyWordError, InvalidWordError
+from genus2pairs.errors import (
+    BudgetExceededError,
+    EmptyWordError,
+    InvalidParamsError,
+    InvalidWordError,
+)
 from genus2pairs.oracle import enumerate_primitives
 from genus2pairs.primitivity import is_primitive
 from genus2pairs.rr_diagram import (
@@ -468,6 +473,18 @@ class TestWord:
         assert Word("AB") ** -2 == Word("baba")
         assert Word("AB") ** 0 == Word()
 
+    @pytest.mark.parametrize("n", [True, 2.0, "2"], ids=repr)
+    def test_pow_exponent_is_an_exact_integer(self, n):
+        with pytest.raises(InvalidParamsError, match="exponent must be an integer"):
+            Word("AB") ** n
+
+    @pytest.mark.parametrize("other", ["bA", Word("bA"), ["b", "A"]], ids=repr)
+    def test_multiply_reads_any_word(self, other):
+        assert Word("AB") * other == Word("A^2")
+
+    def test_multiply_by_a_class_uses_its_canonical_rotation(self):
+        assert Word("AB") * CyclicWord("bA") == Word("ABAb")
+
     def test_abelianization(self):
         assert Word("AABAAAB").abelianization() == (5, 2)
         assert Word("ABab").abelianization() == (0, 0)
@@ -589,7 +606,44 @@ class TestCyclicReduce:
         assert core.abelianization() == w.abelianization()
 
 
+# Every freely reduced string of at most four letters, the empty one first.
+REDUCED_4 = [
+    word
+    for n in range(5)
+    for word in map("".join, product("AaBb", repeat=n))
+    if _reduce(word) == word
+]
+
+
 class TestCyclicEqual:
+    @pytest.mark.parametrize("up_to_inversion", [False, True])
+    @pytest.mark.parametrize("kind", [str, Word, CyclicWord], ids=lambda k: k.__name__)
+    def test_agrees_with_class_equality(self, kind, up_to_inversion):
+        """Any word reads as the class of its cyclic core."""
+        assert len(REDUCED_4) == 161
+        classes = [CyclicWord(w) for w in REDUCED_4]
+        inverses = [~c for c in classes]
+        words = [kind(w) for w in REDUCED_4]
+        mismatches = [
+            (REDUCED_4[i], REDUCED_4[j])
+            for i, u in enumerate(words)
+            for j, v in enumerate(words)
+            if cyclic_equal(u, v, up_to_inversion)
+            != (classes[i] == classes[j] or up_to_inversion and inverses[i] == classes[j])
+        ]
+        assert not mismatches[:5]
+
+    def test_words_compare_as_classes(self):
+        assert cyclic_equal(Word("AB"), Word("BA"))
+        assert cyclic_equal("AB", "BA")
+        assert cyclic_equal("aBA", CyclicWord("B"))
+        assert not cyclic_equal("AB", "ab")
+        assert cyclic_equal("AB", "ab", up_to_inversion=True)
+
+    def test_junk_is_refused(self):
+        with pytest.raises(TypeError, match="expected a word"):
+            cyclic_equal(5, CyclicWord("A"))
+
     def test_rotation(self):
         assert cyclic_equal(CyclicWord("ABab"), CyclicWord("BabA"))
 
