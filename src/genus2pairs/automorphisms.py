@@ -15,8 +15,9 @@ terminal letter map is applied to the result.
 from __future__ import annotations
 
 from ._record import _Record, _set_field
-from .errors import NotInvertibleError
-from .words import CyclicWord, Word, _cancellation, _invert, _join, substitute
+from .errors import InvalidParamsError, NotInvertibleError
+from .words import CyclicWord, Word, _cancellation, _commutator_is_basis, _invert, _join
+from .words import _reduced_letters, substitute
 
 # The eight elementary Nielsen moves on (u, v), in a fixed order.  Applied
 # to the image pair of a map f, move i gives the images of f composed on
@@ -155,15 +156,12 @@ class Automorphism(_Record):
 
     def __init__(self, image_a: Word | CyclicWord | str,
                  image_b: Word | CyclicWord | str) -> None:
-        image_a, image_b = Word(image_a), Word(image_b)
-        from .primitivity import is_basis_pair
-
-        if not is_basis_pair(image_a, image_b):
-            raise NotInvertibleError(
-                f"images ({image_a}, {image_b}) are not a basis"
-            )
-        _set_field(self, "image_a", image_a)
-        _set_field(self, "image_b", image_b)
+        a, b = _reduced_letters(image_a), _reduced_letters(image_b)
+        # No determinant pre-check: inverse and compose pass only bases.
+        if not _commutator_is_basis(a, b):
+            raise NotInvertibleError(f"images ({a or '1'}, {b or '1'}) are not a basis")
+        _set_field(self, "image_a", Word._raw(a))
+        _set_field(self, "image_b", Word._raw(b))
 
     @classmethod
     def identity(cls) -> "Automorphism":
@@ -204,7 +202,14 @@ class Automorphism(_Record):
 
     @classmethod
     def from_json(cls, data: dict) -> "Automorphism":
-        return cls(data["A"], data["B"])
+        try:
+            keys = sorted(data, key=repr)
+            images = data["A"], data["B"]
+        except (KeyError, TypeError) as exc:
+            raise InvalidParamsError(f"malformed automorphism JSON: {exc!r}") from None
+        if keys != ["A", "B"]:
+            raise InvalidParamsError(f"automorphism JSON has keys A and B only, got {keys!r}")
+        return cls(*images)
 
     def __str__(self) -> str:
         return f"A -> {self.image_a}, B -> {self.image_b}"

@@ -5,9 +5,9 @@ Both routines here avoid the exponent-shape reasoning used by
 are enumerated by closing {A} under the standard automorphism
 generators in one breadth-first pass, and basis pairs are certified
 by greedy Nielsen length reduction.  That reduction is the same
-descent that ``Automorphism.inverse`` runs; what keeps it independent
-of ``is_basis_pair`` is that the latter is a commutator test, and the
-tests play the commutator test against the descent.
+descent that ``Automorphism.inverse`` runs.  It shares with
+``is_basis_pair`` only the necessary determinant pre-check; past it,
+the tests play that function's commutator test against the descent.
 """
 
 from __future__ import annotations
@@ -69,9 +69,9 @@ def brute_is_basis(u: Word | CyclicWord | str, v: Word | CyclicWord | str,
     letters (a basis) or no move shortens it (not a basis: every basis
     longer than two letters has a shortening move, as the docstring of
     ``automorphisms._descend`` proves).  This is the descent that
-    ``Automorphism.inverse`` runs.  A pair whose abelianization
-    determinant is not +-1 is rejected up front; that is a necessary
-    condition for a basis and keeps bulk sweeps fast.
+    ``Automorphism.inverse`` runs.  As in ``is_basis_pair``, a pair whose
+    abelianization determinant is not +-1 (a necessary condition for a
+    basis) is rejected up front; the descent decides the rest.
 
     Raises InvalidParamsError when ``budget`` is not an int, and
     BudgetExceededError when the pair is longer than ``budget``; the

@@ -21,7 +21,7 @@ import math
 from ._record import _Record
 from .errors import EmptyWordError, SingleGeneratorError
 from .words import CyclicWord, Word, _abelianization, _canonical_rotation, _christoffel
-from .words import _core_letters, _cyclic_core, _invert, _join, _power_period, _reduced_letters
+from .words import _commutator_is_basis, _core_letters, _power_period, _reduced_letters
 
 
 class PrimitiveForm(_Record):
@@ -117,17 +117,16 @@ def is_primitive(word: Word | CyclicWord | str) -> bool:
 def is_basis_pair(u: Word | CyclicWord | str, v: Word | CyclicWord | str) -> bool:
     """True iff (u, v) is a free basis of F(A, B).
 
-    Uses the commutator test: the pair is a basis exactly when the
-    commutator u*v*u^-1*v^-1 is conjugate to A*B*A^-1*B^-1 or to its
-    inverse.  ``oracle.brute_is_basis`` cross-checks this by explicit
-    length reduction.
+    A pair whose abelianization determinant is not +-1 is refused up
+    front, as a basis maps to a basis of Z^2; that spares most non-bases
+    the commutator test of ``words._commutator_is_basis``, which decides
+    the rest.  ``oracle.brute_is_basis`` makes the same pre-check and
+    decides the rest by explicit length reduction.
     """
     su, sv = _reduced_letters(u), _reduced_letters(v)
-    commutator = _cyclic_core(_join(_join(_join(su, sv), _invert(su)), _invert(sv)))
-    # Each rotation of ABab, or of its inverse BAba, is a 4-letter slice.
-    return len(commutator) == 4 and (
-        commutator in "ABabABa" or commutator in "BAbaBAb"
-    )
+    xu, yu = _abelianization(su)
+    xv, yv = _abelianization(sv)
+    return abs(xu * yv - xv * yu) == 1 and _commutator_is_basis(su, sv)
 
 
 def as_proper_power(word: Word | CyclicWord | str) -> tuple[CyclicWord, int] | None:

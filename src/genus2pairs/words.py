@@ -23,7 +23,8 @@ from itertools import groupby
 from math import gcd
 from typing import Iterator, NamedTuple
 
-from .errors import BudgetExceededError, EmptyWordError, InvalidWordError, check_int
+from .errors import BudgetExceededError, EmptyWordError, InvalidParamsError, InvalidWordError
+from .errors import check_int
 
 GENERATORS = "AB"
 LETTERS = "AaBb"
@@ -151,6 +152,14 @@ def _cyclic_core(letters: str) -> str:
         lo += 1
         hi -= 1
     return letters[lo:hi]
+
+
+def _commutator_is_basis(u: str, v: str) -> bool:
+    """Whether freely reduced u, v form a basis: u*v*u^-1*v^-1 is conjugate to
+    A*B*A^-1*B^-1 or to its inverse (Cohen-Metzler-Zimmermann, Math. Ann. 1981)."""
+    commutator = _cyclic_core(_join(_join(_join(u, v), _invert(u)), _invert(v)))
+    # Each rotation of ABab, or of its inverse BAba, is a 4-letter slice.
+    return len(commutator) == 4 and (commutator in "ABabABa" or commutator in "BAbaBAb")
 
 
 def _power_period(letters: str) -> int:
@@ -494,6 +503,8 @@ def cyclic_equal(u: Word | CyclicWord | str, v: Word | CyclicWord | str,
     """Equality of conjugacy classes, optionally up to inversion: the
     cyclic cores have one length and one is a rotation of the other, or
     of the other's inverse."""
+    if up_to_inversion is not True and up_to_inversion is not False:
+        raise InvalidParamsError(f"up_to_inversion must be a bool, got {up_to_inversion!r}")
     cu, cv = _core_letters(u), _core_letters(v)
     return len(cu) == len(cv) and (cu in cv * 2 or up_to_inversion and _invert(cu) in cv * 2)
 

@@ -14,7 +14,7 @@ from genus2pairs.automorphisms import (
     compose,
     nielsen_generators,
 )
-from genus2pairs.errors import NotInvertibleError
+from genus2pairs.errors import InvalidParamsError, NotInvertibleError
 from genus2pairs.primitivity import is_basis_pair, is_primitive
 from genus2pairs.words import (
     CyclicWord,
@@ -97,6 +97,48 @@ class TestConstruction:
         f = Automorphism(Word("AB"), Word("B"))
         assert f.to_json() == {"A": "AB", "B": "B"}
         assert Automorphism.from_json(f.to_json()) == f
+
+    @pytest.mark.parametrize("data, text", [
+        (5, "malformed automorphism JSON: TypeError("),
+        ({}, "malformed automorphism JSON: KeyError('A')"),
+        ({"A": "A", "B": "B", "C": 1},
+         "automorphism JSON has keys A and B only, got ['A', 'B', 'C']"),
+    ], ids=["not-a-mapping", "missing-key", "extra-key"])
+    def test_from_json_refuses_malformed_json(self, data, text):
+        with pytest.raises(InvalidParamsError) as info:
+            Automorphism.from_json(data)
+        assert str(info.value).startswith(text)
+
+    @pytest.mark.parametrize("a, b, text", [
+        ("AB", "BA", "images (AB, BA) are not a basis"),
+        ("1", "B", "images (1, B) are not a basis"),
+        (Word("Aa"), CyclicWord("bAAB"), "images (1, AA) are not a basis"),
+    ])
+    def test_not_invertible_text(self, a, b, text):
+        with pytest.raises(NotInvertibleError) as info:
+            Automorphism(a, b)
+        assert str(info.value) == text
+
+    @given(words, words)
+    def test_constructs_exactly_on_bases(self, u, v):
+        """The constructor decides by the commutator alone, as
+        ``is_basis_pair`` does after its determinant gate."""
+        try:
+            Automorphism(u, v)
+        except NotInvertibleError:
+            built = False
+        else:
+            built = True
+        assert built == is_basis_pair(u, v)
+
+    @given(st.lists(st.integers(0, 3), min_size=4, max_size=20),
+           st.sampled_from([str, Word, list]))
+    def test_walk_bases_construct_and_invert(self, moves, kind):
+        walk = from_moves(moves)
+        u, v = walk.image_a.letters, walk.image_b.letters
+        f = Automorphism(kind(u), kind(v))
+        assert f == walk
+        assert compose(f, f.inverse()) == Automorphism.identity()
 
     def test_str(self):
         assert str(Automorphism("AB", "B")) == "A -> AB, B -> B"

@@ -18,8 +18,10 @@ from genus2pairs.rr_diagram import alpha_word_fig3a
 from genus2pairs.words import (
     CyclicWord,
     Word,
+    _INV,
     _abelianization,
     _christoffel,
+    _commutator_is_basis,
     _cyclic_core,
     _invert,
     _reduce,
@@ -230,6 +232,30 @@ class TestIsBasisPair:
         value = is_basis_pair(u, v)
         assert is_basis_pair(~u, v) == value
         assert is_basis_pair(u, ~v) == value
+
+    def test_determinant_gate_changes_no_verdict(self):
+        """Every unordered pair of reduced words of total length <= 8 gets
+        the verdict of the commutator kernel alone, and most of them have a
+        determinant other than +-1, so the gate decides them."""
+        by_length = [[""]]
+        for _ in range(8):
+            by_length.append([w + c for w in by_length[-1] for c in "AaBb"
+                              if not w or w[-1] != _INV[c]])
+        pairs = gated = bases = 0
+        mismatches = []
+        for i in range(9):
+            for j in range(i, 9 - i):
+                for k, u in enumerate(by_length[i]):
+                    for v in by_length[j][k if i == j else 0:]:
+                        pairs += 1
+                        verdict = is_basis_pair(u, v)
+                        if verdict != _commutator_is_basis(u, v):
+                            mismatches.append((u, v))
+                        (xu, yu), (xv, yv) = _abelianization(u), _abelianization(v)
+                        gated += abs(xu * yv - xv * yu) != 1
+                        bases += verdict
+        assert not mismatches[:5]
+        assert (pairs, gated, bases) == (70_065, 60_893, 1_428)
 
 
 class TestAsProperPower:

@@ -48,6 +48,20 @@ def test_oracle_shares_nothing_with_primitivity():
     assert not {m for m in imported if m.endswith("primitivity")}, imported
 
 
+def test_no_imports_inside_functions():
+    """The word kernel, the decisions, the automorphisms and the referees
+    import at module level only, as an import in a function body runs on
+    every call.  ``cli`` keeps its lazy imports on purpose and is not listed."""
+    nested = []
+    for name in ("words.py", "primitivity.py", "automorphisms.py", "oracle.py"):
+        path = Path(genus2pairs.__file__).parent / name
+        for func in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                nested.extend(f"{name}:{node.lineno}" for node in ast.walk(func)
+                              if isinstance(node, (ast.Import, ast.ImportFrom)))
+    assert not nested
+
+
 def _imported_modules(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     for node in ast.walk(tree):

@@ -644,6 +644,12 @@ class TestCyclicEqual:
         with pytest.raises(TypeError, match="expected a word"):
             cyclic_equal(5, CyclicWord("A"))
 
+    @pytest.mark.parametrize("flag", ["no", "", 1, 0, None, 1.0], ids=repr)
+    def test_flag_must_be_a_bool(self, flag):
+        with pytest.raises(InvalidParamsError) as info:
+            cyclic_equal("AB", "ab", up_to_inversion=flag)
+        assert str(info.value) == f"up_to_inversion must be a bool, got {flag!r}"
+
     def test_rotation(self):
         assert cyclic_equal(CyclicWord("ABab"), CyclicWord("BabA"))
 
