@@ -16,9 +16,8 @@ structure is certified; ``separating_word`` constructs it.
 
 Pairs (alpha, beta) with beta a proper power obey a simpler dichotomy,
 ``classify_power_pair``: the curves are separated, or they cobound a
-nonseparating annulus, when the classes agree up to inversion.  It reads
-cyclic cores in any rotation: at one length, alpha's core or its inverse
-is then a substring of beta's core doubled.
+nonseparating annulus, when the classes agree up to inversion, as
+``words.cyclic_equal`` decides.
 """
 
 from __future__ import annotations
@@ -29,7 +28,7 @@ from math import gcd
 from ._record import _Record
 from .errors import BetaNotProperPowerError, EmptyWordError, InvalidParamsError, check_int
 from .rr_diagram import CanonicalParams
-from .words import CyclicWord, Word, _core_letters, _invert, _power_period, check_budget
+from .words import CyclicWord, Word, _core_letters, _power_period, check_budget, cyclic_equal
 
 
 class ProductStructure(enum.Enum):
@@ -53,14 +52,10 @@ class PairClass(_Record):
     )
 
     def to_json(self) -> dict:
-        return {
-            "type_I": self.type_I,
-            "type_II": self.type_II,
-            "separated": self.separated,
-            "structure": self.structure.value,
-            "separating_word": str(self.separating_word),
-            "twist": self.twist,
-        }
+        out = {name: getattr(self, name) for name in self.__slots__}
+        out["structure"] = self.structure.value
+        out["separating_word"] = str(self.separating_word)
+        return out
 
 
 def separating_word(n: int) -> CyclicWord:
@@ -106,14 +101,6 @@ def longitude_pair(p: int, q: int) -> tuple[int, int]:
     return r, s
 
 
-def _min_abs_twist(r: int, m: int) -> int:
-    """Representative of r mod m in (-m/2, m/2]."""
-    r %= m
-    if 2 * r > m:
-        r -= m
-    return r
-
-
 def classify(params: CanonicalParams) -> PairClass:
     """Classify the curve pair of a canonical diagram.
 
@@ -128,7 +115,9 @@ def classify(params: CanonicalParams) -> PairClass:
     params = params.validated()
     if params.variant == "fig2a":
         r, _s = longitude_pair(params.p, params.q)
-        twist = _min_abs_twist(r, abs(params.p))
+        # 0 <= r < m = |p|, so the twist is r's representative in (-m/2, m/2].
+        m = abs(params.p)
+        twist = r - m if 2 * r > m else r
     else:
         twist = 1 if params.variant == "fig1a" else params.eps
     separated = twist == 0 or params.variant == "fig1a"
@@ -159,13 +148,11 @@ def classify_power_pair(
     are separated.  Geometric realizability of the input pair is the
     caller's responsibility.
     """
-    # Cyclic cores in the rotation they come in; a CyclicWord is its own.
     alpha, beta = _core_letters(alpha_word), _core_letters(beta_word)
     if not alpha:
         raise EmptyWordError("alpha must be nontrivial")
     if _power_period(beta) == len(beta):
         raise BetaNotProperPowerError(f"beta {CyclicWord(beta)} is not a proper power")
-    doubled = beta * 2
-    if len(alpha) == len(beta) and (alpha in doubled or _invert(alpha) in doubled):
+    if cyclic_equal(alpha_word, beta_word, up_to_inversion=True):
         return PowerPairOutcome.NONSEPARATING_ANNULUS
     return PowerPairOutcome.SEPARATED

@@ -37,10 +37,9 @@ def _slot(key) -> tuple[str, str]:
     """The slot of an edge key; InvalidParamsError for any key outside the table."""
     slot = _SLOT_OF_KEY.get(key)
     if slot is None:
-        if isinstance(key, str):
-            raise InvalidParamsError(f"cannot parse edge key {key!r}")
-        v, w = key
-        raise InvalidParamsError(f"unknown vertex in edge ({v!r}, {w!r})")
+        if isinstance(key, tuple) and len(key) == 2:
+            raise InvalidParamsError(f"unknown vertex in edge {key!r}")
+        raise InvalidParamsError(f"cannot parse edge key {key!r}")
     return slot
 
 
@@ -141,15 +140,13 @@ class HGraph:
 
     @classmethod
     def from_json(cls, data: dict, *, check_parity: bool = True) -> "HGraph":
+        if not isinstance(data, dict):
+            raise InvalidParamsError("expected a JSON object")
         unknown = sorted(set(data) - set(CURVES))
         if unknown:
             raise InvalidParamsError(
                 f"unknown curves {unknown!r}; expected alpha and/or beta")
-        return cls(
-            alpha=data.get("alpha"),
-            beta=data.get("beta"),
-            check_parity=check_parity,
-        )
+        return cls(*map(data.get, CURVES), check_parity=check_parity)
 
     def dot(self) -> str:
         """Graphviz source; multiplicities become edge labels."""
@@ -276,7 +273,7 @@ def minimality_witness(graph: HGraph) -> str | None:
     if problems:
         raise ParityViolationError("; ".join(problems))
     if _beta_is_single_dual(graph) is None:
-        raise ValueError(
+        raise InvalidParamsError(
             "minimality analysis needs beta drawn as parallel B+B- edges"
         )
     edges = graph._edges.get("alpha", {})

@@ -252,12 +252,10 @@ def validate(diagram: RRDiagram) -> list[Violation]:
 
     # Arc strands at each end they touch; band ends are found by plain tuples.
     attached: dict[Endpoint, int] = {}
-    for key, arc in slots.items():
-        if len(key) == 2:
-            continue
+    for i, arc in enumerate(diagram.arcs):
         if arc.multiplicity < 1:
             out.append(
-                Violation("BadMultiplicity", f"arc {key[0]} has multiplicity {arc.multiplicity}")
+                Violation("BadMultiplicity", f"arc {i} has multiplicity {arc.multiplicity}")
             )
         for endpoint in (arc.start, arc.stop):
             attached[endpoint] = attached.get(endpoint, 0) + arc.multiplicity
@@ -265,7 +263,7 @@ def validate(diagram: RRDiagram) -> list[Violation]:
                 out.append(
                     Violation(
                         "UnknownEndpoint",
-                        f"arc {key[0]} touches missing band {endpoint.token()}",
+                        f"arc {i} touches missing band {endpoint.token()}",
                     )
                 )
     if not any(v.kind == "UnknownEndpoint" for v in out):

@@ -26,7 +26,6 @@ from typing import Iterator, NamedTuple
 from .errors import BudgetExceededError, EmptyWordError, InvalidParamsError, InvalidWordError
 from .errors import check_int
 
-GENERATORS = "AB"
 LETTERS = "AaBb"
 
 _INV = {"A": "a", "a": "A", "B": "b", "b": "B"}
@@ -35,6 +34,8 @@ _INVERT_TABLE = str.maketrans(_INV)
 _ORDER_KEY = str.maketrans("AaBb", "0123")
 
 _TOKEN = re.compile(r"([AaBb])(?:\^(-?\d+))?\s*")
+# The longest prefix of whole tokens: a word string parses when it is all of it.
+_TOKENS = re.compile(f"(?:{_TOKEN.pattern})*")
 # No word, walk or diagram is written out past this many letters or steps.
 _MAX_EXPANDED_LETTERS = 10_000_000
 # Words up to this length take the run-start rotation path, which has
@@ -70,18 +71,16 @@ def parse_letters(text: str) -> str:
         return stripped
     if stripped == "1":
         return ""
-    pos = 0
+    pos = _TOKENS.match(stripped).end()
+    if pos < len(stripped):
+        raise InvalidWordError(
+            f"cannot parse word {text!r} at position {pos}: "
+            f"expected a letter from {LETTERS!r}"
+        )
     tokens = []
-    while pos < len(stripped):
-        m = _TOKEN.match(stripped, pos)
-        if m is None:
-            raise InvalidWordError(
-                f"cannot parse word {text!r} at position {pos}: "
-                f"expected a letter from {LETTERS!r}"
-            )
-        letter, exponent = m.group(1), m.group(2)
+    for letter, exponent in _TOKEN.findall(stripped):
         count = 1
-        if exponent is not None:
+        if exponent:
             if exponent[0] == "-":
                 letter = _INV[letter]
             digits = exponent.lstrip("-0")
@@ -92,7 +91,6 @@ def parse_letters(text: str) -> str:
             else:
                 count = int(digits or "0")
         tokens.append((letter, count))
-        pos = m.end()
     check_budget(sum(count for _, count in tokens), "letters in caret exponents")
     return "".join(letter * count for letter, count in tokens)
 

@@ -258,6 +258,13 @@ class TestGraphCommands:
         assert "deg(A+) = 1 but deg(A-) = 0" in out
         assert "minimality: skipped (parity violation)" in out
 
+    def test_check_beta_shape_still_reports(self):
+        g = json.dumps({"alpha": {"A+A-": 1}, "beta": {"B+B-": 1, "A+A-": 1}})
+        code, out, err = invoke("graph", "check", "-", stdin=g)
+        assert (code, err) == (0, "")
+        assert out.splitlines()[-1] == (
+            "minimality: skipped (minimality analysis needs beta drawn as parallel B+B- edges)")
+
     def test_check_reduction_witness(self):
         g = json.dumps({"alpha": {"A+B-": 1, "A-B+": 1}, "beta": {"B+B-": 1}})
         _, out, _ = invoke("graph", "check", "-", stdin=g)
@@ -361,6 +368,14 @@ class TestExitProtocol:
         code, _, err = invoke("graph", "check", "-", stdin="{broken")
         assert code == 65
         assert err.startswith("InvalidParams:")
+
+    @pytest.mark.parametrize("document", ["[]", "5", '"x"', "null"])
+    @pytest.mark.parametrize("args", [("rr", "validate", "-"), ("rr", "trace", "-", "alpha"),
+                                      ("graph", "check", "-"), ("graph", "dot", "-")],
+                             ids=" ".join)
+    def test_json_that_is_not_an_object(self, args, document):
+        code, out, err = invoke(*args, stdin=document)
+        assert (code, out, err) == (65, "", "InvalidParams: expected a JSON object\n")
 
     @pytest.mark.parametrize(
         "graph",

@@ -213,8 +213,9 @@ class TestConstruction:
     lambda: HGraph.from_json({"gamma": {}}),
     lambda: fig5c_graph().multiplicity("alpha", "A+", "C-"),
     lambda: fig5c_graph().relabeled({}),
+    lambda: minimality_witness(HGraph(alpha={"A+A-": 1}, beta={"B+B-": 1, "A+A-": 1})),
 ], ids=["float", "bool", "negative", "key", "vertex", "curve-list", "curve-name",
-        "multiplicity-vertex", "relabeling"])
+        "multiplicity-vertex", "relabeling", "beta-shape"])
 def test_refusals_are_invalid_params_and_value_errors(refuse):
     try:
         refuse()
@@ -231,8 +232,8 @@ def single_edge_slot(key):
 
 
 class TestEdgeKeys:
-    """Every valid key reads as its ``SLOTS`` entry; malformed keys keep
-    their exception type and message."""
+    """Every valid key reads as its ``SLOTS`` entry; every other key
+    raises InvalidParamsError with a message that names it."""
 
     @pytest.mark.parametrize("v", VERTICES)
     @pytest.mark.parametrize("w", VERTICES)
@@ -265,15 +266,14 @@ class TestEdgeKeys:
 
     @pytest.mark.parametrize("key", [("A+",), ("A+", "B-", "B+")])
     def test_wrong_length_tuple_keys(self, key):
-        with pytest.raises(ValueError) as unpacking:
-            v, w = key
-        with pytest.raises(ValueError) as info:
+        with pytest.raises(InvalidParamsError) as info:
             HGraph(alpha={key: 1}, check_parity=False)
-        assert str(info.value) == str(unpacking.value)
+        assert str(info.value) == f"cannot parse edge key {key!r}"
 
     def test_non_iterable_key(self):
-        with pytest.raises(TypeError):
+        with pytest.raises(InvalidParamsError) as info:
             HGraph(alpha={5: 1}, check_parity=False)
+        assert str(info.value) == "cannot parse edge key 5"
 
     def test_zero_multiplicity_key_is_not_read(self):
         g = HGraph(alpha={"A+C-": 0, ("A+",): 0}, check_parity=False)
@@ -506,6 +506,12 @@ class TestSerialization:
     def test_json_key_order_deterministic(self):
         g = fig5c_graph()
         assert list(g.to_json()["alpha"]) == ["A+A-", "A+B-", "A-B+"]
+
+    @pytest.mark.parametrize("data", [5, [], "alpha", None], ids=repr)
+    def test_from_json_refuses_non_objects(self, data):
+        with pytest.raises(InvalidParamsError) as info:
+            HGraph.from_json(data)
+        assert str(info.value) == "expected a JSON object"
 
     def test_non_strict_load(self):
         data = {"alpha": {"A+B-": 1}, "beta": {"B+B-": 1}}

@@ -5,19 +5,28 @@ a str, Word, CyclicWord or iterable of letters.  Fed the same ten junk
 values, each parameter raises DomainError for a value of the right type
 and TypeError, with one text, for any other; never AttributeError.  The
 table names every word-taking callable and method of ``__all__``, and
-every other public name is listed as taking no word.
+every other public name is listed as taking no word.  The integer
+parameters of those other names, and the numbers of the records they
+read, refuse a bool, a float and a digit string.
 """
 
 import pytest
 
 import genus2pairs as api
 from genus2pairs import (
+    Arc,
     Automorphism,
+    Band,
+    CanonicalParams,
     CyclicWord,
     DomainError,
+    Endpoint,
+    HandleLabel,
     HGraph,
     InvalidParamsError,
     InvalidWordError,
+    RRDiagram,
+    TraverseStep,
     Word,
 )
 
@@ -67,11 +76,59 @@ INTEGER_SLOTS = {
     "Word.__pow__": lambda n: A ** n,
     "brute_is_basis(budget)": lambda n: api.brute_is_basis(A, B, n),
 }
-# HGraph takes edge keys, not words; its outcomes are listed as
-# tests/test_heegaard.py::TestEdgeKeys pins them, a key tuple of the
-# wrong length raising the plain ValueError of tuple unpacking.
+
+
+def _diagram(multiplicity=1, disk=1, longitude=None, arc=1, start=0, stop=0,
+             index=0, direction=1):
+    """One band and one arc on handle A, and alpha a one-step walk; every
+    number of the diagram is a parameter."""
+    return RRDiagram(
+        HandleLabel("A", (Band(multiplicity, disk, longitude),)),
+        HandleLabel("B", ()),
+        (Arc(Endpoint("A", start, "+"), Endpoint("A", stop, "-"), arc),),
+        {"alpha": (TraverseStep("A", index, direction),)},
+    )
+
+
+# Integer parameters of callables that take no word, and the numbers of
+# the records they read: each refuses a bool, a float and a digit string
+# with InvalidParamsError.
+NEAR_INTEGERS = {"True": True, "2.0": 2.0, "'2'": "2"}
+SHAPES = {"fig2a": {"p": 2, "q": 1}, "fig3a": {"a": 2, "b": 1, "p": 3, "eps": 1}}
+OTHER_INTEGER_SLOTS = {
+    "longitude_pair(p)": lambda n: api.longitude_pair(n, 1),
+    "longitude_pair(q)": lambda n: api.longitude_pair(2, n),
+    "separating_word": api.separating_word,
+    "enumerate_primitives": api.enumerate_primitives,
+    "HGraph(multiplicity)": lambda n: HGraph(alpha={"A+A-": n}, check_parity=False),
+    **{
+        f"{call.__name__}({variant} {field})": (
+            lambda n, call=call, variant=variant, field=field:
+            call(CanonicalParams(variant, **{**SHAPES[variant], field: n}))
+        )
+        for call in (api.build_canonical, api.classify)
+        for variant, shape in SHAPES.items() for field in shape
+    },
+    **{
+        f"alpha_word_fig3a({field})": (
+            lambda n, field=field: api.alpha_word_fig3a(**{**SHAPES["fig3a"], field: n})
+        )
+        for field in SHAPES["fig3a"]
+    },
+    **{
+        f"{name}({number})": lambda n, call=call, number=number: call(_diagram(**{number: n}))
+        for name, call in (("validate", api.validate),
+                           ("trace_word", lambda diagram: api.trace_word(diagram, "alpha")))
+        for number in ("multiplicity", "disk", "longitude", "arc", "start", "stop",
+                       "index", "direction")
+    },
+}
+
+# HGraph takes edge keys, not words: any hashable key outside its slot
+# table raises InvalidParamsError, and an unhashable one cannot be a key
+# of the dict that carries it.
 EDGE_KEY_SLOTS = {"HGraph(edge key)": lambda key: HGraph(alpha={key: 1}, check_parity=False)}
-PINNED = {("HGraph(edge key)", "('A+',)"): ValueError, ("HGraph(edge key)", "5"): TypeError}
+UNHASHABLE = {"[1]", "{'A': 1}"}
 
 NO_WORD_PARAMETER = {
     "compose", "nielsen_generators", "PairClass", "PowerPairOutcome",
@@ -88,12 +145,10 @@ SLOTS = {**WORD_SLOTS, **TEXT_SLOTS, **INTEGER_SLOTS, **EDGE_KEY_SLOTS}
 def _expected(slot: str, junk: str):
     """The exception type that ``slot`` raises on ``junk``, or None for an
     int in an integer slot, which returns or raises DomainError."""
-    if (slot, junk) in PINNED:
-        return PINNED[slot, junk]
     if slot in INTEGER_SLOTS:
         return None if junk in {"-1", "5"} else InvalidParamsError
     if slot in EDGE_KEY_SLOTS:
-        return DomainError if junk == "'0'" else TypeError
+        return TypeError if junk in UNHASHABLE else InvalidParamsError
     right_typed = {"'0'"} if slot in TEXT_SLOTS else RIGHT_TYPED
     return InvalidWordError if junk in right_typed else TypeError
 
@@ -123,6 +178,13 @@ def test_junk_values(slot, junk):
         with pytest.raises(TypeError) as direct:
             Word(JUNK[junk]())
         assert str(info.value) == str(direct.value)
+
+
+@pytest.mark.parametrize("value", NEAR_INTEGERS)
+@pytest.mark.parametrize("slot", OTHER_INTEGER_SLOTS)
+def test_integer_slots_refuse_near_integers(slot, value):
+    with pytest.raises(InvalidParamsError, match="must be an integer"):
+        OTHER_INTEGER_SLOTS[slot](NEAR_INTEGERS[value])
 
 
 @pytest.mark.parametrize("source", [{"A": 1}, {"A"}, frozenset("A")],
