@@ -153,6 +153,6 @@ def classify_power_pair(
         raise EmptyWordError("alpha must be nontrivial")
     if _power_period(beta) == len(beta):
         raise BetaNotProperPowerError(f"beta {CyclicWord(beta)} is not a proper power")
-    if cyclic_equal(alpha_word, beta_word, up_to_inversion=True):
+    if cyclic_equal(Word._raw(alpha), Word._raw(beta), up_to_inversion=True):
         return PowerPairOutcome.NONSEPARATING_ANNULUS
     return PowerPairOutcome.SEPARATED

@@ -146,7 +146,11 @@ class HGraph:
         if unknown:
             raise InvalidParamsError(
                 f"unknown curves {unknown!r}; expected alpha and/or beta")
-        return cls(*map(data.get, CURVES), check_parity=check_parity)
+        return cls(
+            alpha=data.get("alpha"),
+            beta=data.get("beta"),
+            check_parity=check_parity,
+        )
 
     def dot(self) -> str:
         """Graphviz source; multiplicities become edge labels."""

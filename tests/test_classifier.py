@@ -221,6 +221,17 @@ class TestClassifyPowerPair:
         with pytest.raises(EmptyWordError):
             classify_power_pair(Word("Aa"), Word("BB"))
 
+    def test_one_shot_iterables(self):
+        """Each argument is read once, so an iterator gives its string's verdict."""
+        assert (
+            classify_power_pair(iter("ABAB"), "ABAB")
+            is PowerPairOutcome.NONSEPARATING_ANNULUS
+        )
+        assert (
+            classify_power_pair(iter("AB"), iter("ABAB"))
+            is PowerPairOutcome.SEPARATED
+        )
+
     @given(
         st.text(alphabet="AaBb", min_size=1, max_size=5),
         st.text(alphabet="AaBb", min_size=1, max_size=4),
@@ -273,15 +284,15 @@ class TestPowerPairParity:
     """classify_power_pair works on cyclic cores as they come, with no
     least rotation; every outcome and message is the rotation route's."""
 
-    @pytest.mark.parametrize("kind", [str, Word, CyclicWord], ids=lambda k: k.__name__)
+    @pytest.mark.parametrize("kind", [str, Word, CyclicWord, iter], ids=lambda k: k.__name__)
     def test_all_short_words(self, kind):
-        words = [kind(w) for w in REDUCED_4]
+        """Each pair is built afresh, so an iterator is read by one call only."""
         mismatches = [
             (alpha, beta)
-            for alpha in words
-            for beta in words
-            if _outcome(classify_power_pair, alpha, beta)
-            != _outcome(_rotation_route, alpha, beta)
+            for alpha in REDUCED_4
+            for beta in REDUCED_4
+            if _outcome(classify_power_pair, kind(alpha), kind(beta))
+            != _outcome(_rotation_route, kind(alpha), kind(beta))
         ]
         assert not mismatches[:5]
 
