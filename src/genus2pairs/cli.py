@@ -120,8 +120,8 @@ def _run(path: str, node, args: list[str]):
     return node.handler(**options)
 
 
-def _read_json(path: str) -> dict:
-    """The JSON object in a file, or on standard input for -."""
+def _read_json(path: str):
+    """The JSON document in a file, or on standard input for -."""
     import json
 
     try:
@@ -135,8 +135,6 @@ def _read_json(path: str) -> dict:
         raise _UsageError(f"Error: cannot read {path!r}: {exc.strerror}") from exc
     except ValueError as exc:
         raise InvalidParamsError(f"malformed JSON: {exc}") from exc
-    if not isinstance(data, dict):
-        raise InvalidParamsError("expected a JSON object")
     return data
 
 
@@ -270,7 +268,7 @@ def graph_check(graph_json: str) -> None:
         return
     try:
         witness = api.minimality_witness(g)
-    except ValueError as exc:
+    except InvalidParamsError as exc:
         print(f"minimality: skipped ({exc})")
         return
     print("minimality: " + ("ok" if witness is None else witness))

@@ -84,14 +84,22 @@ class HGraph:
     def curves(self) -> tuple[str, ...]:
         return tuple(name for name in CURVES if name in self._edges)
 
+    def _curve_edges(self, curve: str) -> dict[tuple[str, str], int]:
+        """The curve's edges, none for a curve of ``CURVES`` the graph lacks."""
+        if curve not in CURVES:
+            raise InvalidParamsError(f"unknown curve {curve!r}; expected alpha or beta")
+        return self._edges.get(curve, {})
+
     def multiplicity(self, curve: str, v: str, w: str) -> int:
-        return self._edges.get(curve, {}).get(_slot((v, w)), 0)
+        return self._curve_edges(curve).get(_slot((v, w)), 0)
 
     def edges(self, curve: str) -> dict[tuple[str, str], int]:
-        return dict(self._edges.get(curve, {}))
+        return dict(self._curve_edges(curve))
 
     def degree(self, curve: str, v: str) -> int:
-        return _degrees(self._edges.get(curve, {})).get(v, 0)
+        if v not in VERTICES:
+            raise InvalidParamsError(f"unknown vertex {v!r}")
+        return _degrees(self._curve_edges(curve))[v]
 
     def parity_violations(self) -> list[str]:
         """Each curve must load A+ like A- and B+ like B-."""
@@ -197,15 +205,13 @@ def _component_count(vertices, neighbours: dict[str, set[str]]) -> int:
 
 def is_connected(graph: HGraph, curve: str) -> bool:
     """Connectivity of the curve's edges on their supporting vertices."""
-    neighbours = _neighbours(graph._edges.get(curve, {}))
+    neighbours = _neighbours(graph._curve_edges(curve))
     return _component_count(neighbours, neighbours) <= 1
 
 
 def cut_vertices(graph: HGraph, curve: str) -> set[str]:
     """Vertices whose removal disconnects the curve's subgraph."""
-    neighbours = _neighbours(graph._edges.get(curve, {}))
-    if len(neighbours) <= 2:
-        return set()
+    neighbours = _neighbours(graph._curve_edges(curve))
     base = _component_count(neighbours, neighbours)
     # A path through v enters and leaves by two distinct neighbours, so
     # only a vertex with two neighbours besides itself can be a cut.

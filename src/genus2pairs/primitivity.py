@@ -65,11 +65,12 @@ def primitive_form(word: Word | CyclicWord | str) -> PrimitiveForm | None:
     x, y = _abelianization(letters)
     if len(letters) != abs(x) + abs(y):
         return None  # both signs of one generator occur
-    gaps = _gaps(letters, _rare_letter(x, y))
+    swapped = abs(y) > abs(x)
+    # The separator is the rarer generator's letter, B on a tie.
+    gaps = _gaps(letters, "Aa"[x < 0] if swapped else "Bb"[y < 0])
     low = min(gaps)
     if max(gaps) > low + 1:  # gaps average at least 1, so none is 0
         return None
-    swapped = abs(y) > abs(x)
     return PrimitiveForm(
         base_generator="B" if swapped else "A",
         exponent=low,
@@ -81,29 +82,10 @@ def primitive_form(word: Word | CyclicWord | str) -> PrimitiveForm | None:
     )
 
 
-def _rare_letter(x: int, y: int) -> str:
-    """The letter of the generator that occurs less often, B on a tie."""
-    if abs(y) <= abs(x):
-        return "B" if y > 0 else "b"
-    return "A" if x > 0 else "a"
-
-
 def _gaps(cycle: str, separator: str) -> list[int]:
     """Numbers of other symbols between consecutive separators, cyclically."""
     start = cycle.index(separator)
     return list(map(len, (cycle[start + 1:] + cycle[:start]).split(separator)))
-
-
-def _is_primitive_core(letters: str) -> bool:
-    """Decide primitivity of a cyclically reduced letter string.  The last
-    test implies the length test, which is there to reject words with both
-    signs of one generator before the Christoffel word is built."""
-    x, y = _abelianization(letters)
-    return (
-        math.gcd(x, y) == 1
-        and len(letters) == abs(x) + abs(y)
-        and letters in _christoffel(x, y) * 2
-    )
 
 
 def is_primitive(word: Word | CyclicWord | str) -> bool:
@@ -111,7 +93,15 @@ def is_primitive(word: Word | CyclicWord | str) -> bool:
 
     Conjugation invariant; the input is cyclically reduced first.
     """
-    return _is_primitive_core(_core_letters(word))
+    letters = _core_letters(word)
+    x, y = _abelianization(letters)
+    # The rotation test implies the length test, which rejects words with
+    # both signs of one generator before the Christoffel word is built.
+    return (
+        math.gcd(x, y) == 1
+        and len(letters) == abs(x) + abs(y)
+        and letters in _christoffel(x, y) * 2
+    )
 
 
 def is_basis_pair(u: Word | CyclicWord | str, v: Word | CyclicWord | str) -> bool:

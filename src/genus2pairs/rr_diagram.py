@@ -562,9 +562,23 @@ def diagram_to_json(diagram: RRDiagram) -> dict:
     }
 
 
+def _known_keys(entry: dict, keys: tuple[str, ...], where: str, *args) -> dict:
+    """``entry``, once each of its keys is one of ``keys``."""
+    for key in entry.keys():
+        if key not in keys:
+            where = where.format(*args)
+            raise InvalidParamsError(f"{where} has unknown key {key!r}; expected {keys}")
+    return entry
+
+
 def diagram_from_json(data: dict) -> RRDiagram:
+    """The diagram of a ``diagram_to_json`` document; InvalidParamsError for a
+    non-object, or a key outside the format at any level but curve names."""
+    if not isinstance(data, dict):
+        raise InvalidParamsError("expected a JSON object")
     try:
-        def band_from(entry: dict) -> Band:
+        def band_from(entry: dict, name: str, index: int) -> Band:
+            _known_keys(entry, ("mult", "label"), "band {}.{}", name, index)
             mult = check_int(entry["mult"], "band multiplicity")
             label = entry.get("label")
             if label is None:
@@ -579,25 +593,26 @@ def diagram_from_json(data: dict) -> RRDiagram:
                 longitude = check_int(longitude, "band longitude label")
             return Band(mult, disk, longitude)
 
-        handles = {
-            name: HandleLabel(
-                name,
-                tuple(band_from(entry) for entry in data["handles"][name]["bands"]),
-            )
-            for name in HANDLES
-        }
-        arcs = tuple(
-            Arc(
+        _known_keys(data, ("handles", "arcs", "curves"), "diagram")
+        labels = _known_keys(data["handles"], HANDLES, "handles")
+        handles = []
+        for name in HANDLES:
+            entries = _known_keys(labels[name], ("bands",), "handle {}", name)["bands"]
+            handles.append(HandleLabel(
+                name, tuple(band_from(entry, name, i) for i, entry in enumerate(entries))
+            ))
+        arcs = []
+        for i, entry in enumerate(data.get("arcs", [])):
+            _known_keys(entry, ("from", "to", "mult"), "arc {}", i)
+            arcs.append(Arc(
                 parse_endpoint(entry["from"]),
                 parse_endpoint(entry["to"]),
                 check_int(entry["mult"], "arc multiplicity"),
-            )
-            for entry in data.get("arcs", [])
-        )
+            ))
         curves = {
             name: tuple(parse_step(token) for token in tokens)
             for name, tokens in data.get("curves", {}).items()
         }
     except (KeyError, TypeError, IndexError, AttributeError) as exc:
         raise InvalidParamsError(f"malformed diagram JSON: {exc!r}") from None
-    return RRDiagram(handles["A"], handles["B"], arcs, curves)
+    return RRDiagram(*handles, tuple(arcs), curves)

@@ -210,8 +210,6 @@ def _canonical_rotation(letters: str) -> str:
     True
     """
     n = len(letters)
-    if n <= 1:
-        return letters
     keyed = letters.translate(_ORDER_KEY)
     least = "0" if "0" in keyed else "1" if "1" in keyed else "2" if "2" in keyed else "3"
     if n <= _SHORT_ROTATION:

@@ -419,6 +419,12 @@ class TestExitProtocol:
             (("handles", "A", "bands", 0, "label"), [3, 1, 7]),
             (("arcs", 0, "from"), "A.-1.+"),
             (("arcs", 0, "from"), "A. 0.+"),
+            # A key outside the format, one row per level of it.
+            (("curve",), {"alpha": ["A.0.+"]}),
+            (("handles", "C"), {"bands": []}),
+            (("handles", "A", "band"), []),
+            (("handles", "A", "bands", 0, "lable"), [3, 1]),
+            (("arcs", 0, "multiplicity"), 1),
         ],
     )
     def test_malformed_diagram_json(self, path, value):

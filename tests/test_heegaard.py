@@ -214,8 +214,17 @@ class TestConstruction:
     lambda: fig5c_graph().multiplicity("alpha", "A+", "C-"),
     lambda: fig5c_graph().relabeled({}),
     lambda: minimality_witness(HGraph(alpha={"A+A-": 1}, beta={"B+B-": 1, "A+A-": 1})),
+    lambda: fig5c_graph().multiplicity("gamma", "A+", "A-"),
+    lambda: fig5c_graph().edges("gamma"),
+    lambda: fig5c_graph().degree("gamma", "A+"),
+    lambda: fig5c_graph().degree("alpha", "C+"),
+    lambda: fig5c_graph().degree("alpha", 5),
+    lambda: is_connected(fig5c_graph(), "gamma"),
+    lambda: cut_vertices(fig5c_graph(), "gamma"),
 ], ids=["float", "bool", "negative", "key", "vertex", "curve-list", "curve-name",
-        "multiplicity-vertex", "relabeling", "beta-shape"])
+        "multiplicity-vertex", "relabeling", "beta-shape", "multiplicity-curve",
+        "edges-curve", "degree-curve", "degree-vertex", "degree-int", "connected-curve",
+        "cut-curve"])
 def test_refusals_are_invalid_params_and_value_errors(refuse):
     try:
         refuse()
@@ -293,6 +302,21 @@ class TestEdgeKeys:
         assert list(g.edges("alpha").items()) == [
             (("A+", "B-"), 4), (("A+", "A-"), 6)
         ]
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda g: g.degree("alpha", "C+"), "unknown vertex 'C+'"),
+        (lambda g: g.edges("Alpha"), "unknown curve 'Alpha'; expected alpha or beta"),
+        (lambda g: cut_vertices(g, "gamma"), "unknown curve 'gamma'; expected alpha or beta"),
+    ], ids=["degree-vertex", "edges-curve", "cut-curve"])
+    def test_accessors_name_unknown_vertices_and_curves(self, call, message):
+        with pytest.raises(InvalidParamsError) as info:
+            call(HGraph(beta={"B+B-": 1}))
+        assert str(info.value) == message
+
+    def test_known_absent_curve_has_no_edges(self):
+        g = HGraph(beta={"B+B-": 1})
+        assert (g.edges("alpha"), g.degree("alpha", "A+")) == ({}, 0)
+        assert g.multiplicity("alpha", "A+", "A-") == 0
 
     def test_edges_returns_a_copy(self):
         g = fig5c_graph()

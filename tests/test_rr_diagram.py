@@ -705,6 +705,39 @@ class TestJson:
         with pytest.raises(InvalidParamsError):
             diagram_from_json(data)
 
+    # One misspelled key at each level of the format: (object path, key, misspelling).
+    @pytest.mark.parametrize("path, key, typo, message", [
+        ((), "curves", "curve",
+         "diagram has unknown key 'curve'; expected ('handles', 'arcs', 'curves')"),
+        (("handles",), "B", "C", "handles has unknown key 'C'; expected ('A', 'B')"),
+        (("handles", "A"), "bands", "band", "handle A has unknown key 'band'; expected ('bands',)"),
+        (("handles", "B", "bands", 0), "label", "lable",
+         "band B.0 has unknown key 'lable'; expected ('mult', 'label')"),
+        (("arcs", 1), "mult", "multiplicity",
+         "arc 1 has unknown key 'multiplicity'; expected ('from', 'to', 'mult')"),
+    ], ids=["diagram", "handles", "handle", "band", "arc"])
+    def test_unknown_keys_refused(self, path, key, typo, message):
+        data = diagram_to_json(build_canonical(CanonicalParams.fig2a(5, 2)))
+        target = data
+        for step in path:
+            target = target[step]
+        target[typo] = target.pop(key)
+        with pytest.raises(InvalidParamsError) as info:
+            diagram_from_json(data)
+        assert str(info.value) == message
+
+    def test_curve_names_are_free(self):
+        d = build_canonical(CanonicalParams.fig2a(5, 2))
+        data = diagram_to_json(d)
+        data["curves"]["gamma"] = data["curves"].pop("alpha")
+        assert trace_word(diagram_from_json(data), "gamma") == trace_word(d, "alpha")
+
+    @pytest.mark.parametrize("data", [5, [], "alpha", None], ids=repr)
+    def test_non_objects_refused(self, data):
+        with pytest.raises(InvalidParamsError) as info:
+            diagram_from_json(data)
+        assert str(info.value) == "expected a JSON object"
+
     # Exact builder output, arc order and step tokens included.
     PINNED = [
         (CanonicalParams.fig2a(5, 2), {
